@@ -149,6 +149,7 @@ def _search_output(res) -> dict:
         "minimum": res.minimum,
         "argmin": spec_to_json_dict(res.argmin),
         "colourings_scanned": res.colourings_scanned,
+        "orbits_scanned": res.orbits_scanned,
     }
     if res.minimum_exact_tf is not None:
         out["minimum_exact_tf"] = res.minimum_exact_tf
@@ -372,6 +373,7 @@ def _suite_conjecture(max_n: int, seed: int, threads: int) -> list[dict]:
                     "status": "pass" if res.minimum == 2 * t + 1 else "FAIL",
                     "value": res.minimum,
                     "colourings_scanned": res.colourings_scanned,
+                    "orbits_scanned": res.orbits_scanned,
                 }
             )
     return verdicts
@@ -519,6 +521,16 @@ def _add_colouring_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--table", help="colour table as lowercase hex")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     # the same flags live on the root parser and on every subparser (with
     # suppressed defaults) so they may be given on either side of the command
@@ -528,7 +540,7 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--format", choices=["json", "csv"], default=default("json"))
     p.add_argument("--out", default=default(None),
                    help="write the report to this path instead of stdout")
-    p.add_argument("--threads", type=int, default=default(1))
+    p.add_argument("--threads", type=_positive_int, default=default(1))
     p.add_argument("--seed", type=int, default=default(0))
 
 

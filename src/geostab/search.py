@@ -1,22 +1,38 @@
 """Exhaustive and sampled minimisation over ball-respecting colourings.
 
 A colouring with canonical radius-t balls is determined by its free points,
-those strictly between the balls; the sweep enumerates all 2^F assignments
-as a binary counter over the free points in ascending code order (bit j of
-the counter colours the j-th free point).  Batches of counters are scored
-at once by the vectorised instability kernels.
+those strictly between the balls; a free-layer assignment is a counter in
+[0, 2^F) over the free points in ascending code order (bit j of the counter
+colours the j-th free point).
+
+Coordinate permutations and the complement map f -> 1 - f(~x) preserve the
+balls, the radius t_f, inst and winst.  A sweep therefore scores one
+counter per orbit of this group of order 2 n!: the orbit's least counter,
+its representative.  The orbits are found by a scan in ascending counter
+order over a 2^F bitmap of covered counters; the first uncovered counter
+starts a new orbit, which is closed under the group's generators (the n-1
+adjacent coordinate transpositions and the complement map, acting on the
+counter bits).  A sweep reports the representatives scored
+(``orbits_scanned``) and the colourings they cover, the sum of their orbit
+sizes (``colourings_scanned``), which is 2^F for a finished sweep.  Every
+orbit member has its representative's value and the representative is the
+orbit's least counter, so the (value, counter) minimum is the one an
+unreduced scan of all 2^F counters finds.  Batches of representatives are
+scored at once by the vectorised instability kernels.
 
 The inst sweep minimises over every enumerated colouring (Problem-style
 "respects the balls"), and additionally reports the minimum over the
 colourings whose radius is exactly t.  The winst sweep keeps only radius-
-exactly-t colourings.  Sweeps checkpoint their progress and the running
-minimum to a JSON file so long runs can resume, and can split the counter
-space over worker processes; the combined result is independent of the split
-because minima are merged by (value, counter).
+exactly-t colourings.  Both filters are orbit-invariant.  Sweeps checkpoint
+their progress and the running minimum to a JSON file so long runs can
+resume, and can split the representatives over worker processes; the
+combined result is independent of the split because minima are merged by
+(value, counter).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -26,20 +42,16 @@ from typing import Optional
 
 import numpy as np
 
-from .colourings import (
-    Colouring,
-    ColouringSpec,
-    free_point_codes,
-    make,
-    table_from_free_layers,
-)
+from .colourings import Colouring, ColouringSpec, free_point_codes, table_from_free_layers
 from .errors import CapacityError, ValidationError
 from .hypercube import weights_vector
 from .instability import inst_exact, inst_values_batch, winst_exact, winst_values_batch
 
 MAX_FREE_POINTS = 22
 DEFAULT_BATCH = 4096
+CHECKPOINT_VERSION = 2
 _RETRY_CAP = 10_000
+_LUT_BITS = 11  # two lookups cover a counter under the F <= 22 gate
 
 
 @dataclass(frozen=True)
@@ -49,7 +61,10 @@ class SearchResult:
     ``minimum``/``argmin`` follow the sweep's letter: over all enumerated
     colourings for inst, over radius-exactly-t colourings for winst.  The
     inst sweep also reports the exact-radius restriction in the ``*_exact_tf``
-    fields (None when it coincides or for winst sweeps).
+    fields (None when it coincides or for winst sweeps).  ``argmin`` is the
+    colouring of the least minimising counter, an orbit representative.
+    ``colourings_scanned`` counts the colourings covered by the
+    ``orbits_scanned`` representatives scored.
     """
 
     n: int
@@ -58,6 +73,7 @@ class SearchResult:
     minimum: int
     argmin: ColouringSpec
     colourings_scanned: int
+    orbits_scanned: int
     elapsed: float
     minimum_exact_tf: Optional[int] = None
     argmin_exact_tf: Optional[ColouringSpec] = None
@@ -92,63 +108,107 @@ def _exact_tf_layer_bits(n: int, t: int, free: np.ndarray) -> tuple[np.ndarray, 
     return low, high
 
 
-def _sweep_chunk(
-    n: int,
-    t: int,
-    mode: str,
-    lo: int,
-    hi: int,
-    batch_size: int,
-) -> dict:
-    """Scan counters [lo, hi); returns the running minima of the chunk."""
-    free = free_point_codes(n, t)
+def _generators(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetry group's generators acting on counters, as lookup tables.
+
+    Returns ``(luts, masks)``: generator g sends counter c to
+    ``masks[g] ^ luts[g, 0, c & L] ^ luts[g, 1, (c >> 11) & L]`` with
+    L = 2^11 - 1.  Rows 0..n-2 swap coordinates i and i+1; row n-1 is the
+    complement map, which sends free point x to ~x and flips every bit.
+    Each generator is an involution, so bit j moves to the position of the
+    image of the j-th free point.
+    """
     F = len(free)
-    base = _base_table(n, t)
-    low_idx, high_idx = _exact_tf_layer_bits(n, t, free)
-    shifts = np.arange(F, dtype=np.int64)
-
-    best: Optional[tuple[int, int]] = None  # (value, counter), inst: unfiltered
-    best_exact: Optional[tuple[int, int]] = None
-
-    for start in range(lo, hi, batch_size):
-        counters = np.arange(start, min(start + batch_size, hi), dtype=np.int64)
-        bits = ((counters[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        tables = np.repeat(base[None, :], len(counters), axis=0)
-        tables[:, free] = bits
-        # radius > t exactly when t+1 is respectable (n >= 2t+3) with the
-        # near layer all 0 and the far one all 1
-        if n >= 2 * t + 3:
-            widened = ~bits[:, low_idx].any(axis=1) & bits[:, high_idx].all(axis=1)
-        else:
-            widened = np.zeros(len(counters), dtype=bool)
-        exact = ~widened
-
-        if mode == "inst":
-            values = inst_values_batch(tables, n, cap=n)
-            i = int(values.argmin())
-            cand = (int(values[i]), int(counters[i]))
-            if best is None or cand < best:
-                best = cand
-            if exact.any():
-                masked = np.where(exact, values, np.int16(127))
-                j = int(masked.argmin())
-                cand = (int(masked[j]), int(counters[j]))
-                if best_exact is None or cand < best_exact:
-                    best_exact = cand
-        else:
-            if not exact.any():
-                continue
-            values = winst_values_batch(tables, n, t, cap=n)
-            masked = np.where(exact, values, np.int16(127))
-            j = int(masked.argmin())
-            cand = (int(masked[j]), int(counters[j]))
-            if best_exact is None or cand < best_exact:
-                best_exact = cand
-    return {"best": best, "best_exact": best_exact, "scanned": hi - lo}
+    images = [free ^ ((((free >> i) ^ (free >> (i + 1))) & 1) * (3 << i)) for i in range(n - 1)]
+    images.append(free ^ ((1 << n) - 1))
+    masks = np.zeros(n, dtype=np.int64)
+    masks[-1] = (1 << F) - 1
+    chunk_values = np.arange(1 << min(F, _LUT_BITS), dtype=np.int64)
+    luts = np.zeros((n, max(1, -(-F // _LUT_BITS)), len(chunk_values)), dtype=np.int64)
+    for g, image in enumerate(images):
+        dest = np.searchsorted(free, image)
+        for j in range(F):
+            luts[g, j // _LUT_BITS] |= ((chunk_values >> (j % _LUT_BITS)) & 1) << dest[j]
+    return luts, masks
 
 
-def _sweep_chunk_star(args) -> dict:
-    return _sweep_chunk(*args)
+def _apply_generators(gens: tuple[np.ndarray, np.ndarray], counters: np.ndarray) -> np.ndarray:
+    """Every generator applied to every counter, as a (generators, counters) array."""
+    luts, masks = gens
+    low = (1 << _LUT_BITS) - 1
+    images = luts[:, 0, counters & low] ^ masks[:, None]
+    for k in range(1, luts.shape[1]):
+        images ^= luts[:, k, (counters >> (k * _LUT_BITS)) & low]
+    return images
+
+
+def _orbits(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least counter and size of every orbit, ascending by least counter."""
+    gens = _generators(n, free)
+    uncovered = np.ones(1 << len(free), dtype=bool)
+    slot = np.zeros(len(uncovered), dtype=np.int32)  # dedupe scratch
+    reps: list[int] = []
+    sizes: list[int] = []
+    rep = 0
+    while True:
+        rep += int(uncovered[rep:].argmax())
+        if not uncovered[rep]:
+            break
+        uncovered[rep] = False
+        frontier = np.array([rep], dtype=np.int64)
+        size = 1
+        while len(frontier):
+            new = _apply_generators(gens, frontier).ravel()
+            new = new[uncovered[new]]
+            # keep one copy of each counter: the one whose position survives in slot
+            order = np.arange(len(new), dtype=np.int32)
+            slot[new] = order
+            new = new[slot[new] == order]
+            uncovered[new] = False
+            size += len(new)
+            frontier = new
+        reps.append(rep)
+        sizes.append(size)
+    return np.array(reps, dtype=np.int64), np.array(sizes, dtype=np.int64)
+
+
+def _least(values: np.ndarray, counters: np.ndarray) -> Optional[tuple[int, int]]:
+    """The (value, counter) minimum; ties go to the first, least counter."""
+    if not len(counters):
+        return None
+    i = int(values.argmin())
+    return int(values[i]), int(counters[i])
+
+
+def _score(
+    n: int, t: int, mode: str, counters: np.ndarray
+) -> tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]:
+    """Minima (value, counter) of one ascending batch of counters.
+
+    Returns the minimum over all of them (inst only, else None) and the
+    minimum over those with radius exactly t.
+    """
+    free = free_point_codes(n, t)
+    bits = ((counters[:, None] >> np.arange(len(free))) & 1).astype(np.uint8)
+    tables = np.repeat(_base_table(n, t)[None, :], len(counters), axis=0)
+    tables[:, free] = bits
+    # radius > t exactly when t+1 is respectable (n >= 2t+3) with the
+    # near layer all 0 and the far one all 1
+    exact = np.ones(len(counters), dtype=bool)
+    if n >= 2 * t + 3:
+        low_idx, high_idx = _exact_tf_layer_bits(n, t, free)
+        exact = bits[:, low_idx].any(axis=1) | ~bits[:, high_idx].all(axis=1)
+    if mode == "inst":
+        values = inst_values_batch(tables, n, cap=n)
+        return _least(values, counters), _least(values[exact], counters[exact])
+    if not exact.any():
+        return None, None
+    values = winst_values_batch(tables[exact], n, t, cap=n)
+    return None, _least(values, counters[exact])
+
+
+def _score_star(args) -> tuple:
+    return _score(*args)
 
 
 def _merge(a: Optional[tuple[int, int]], b: Optional[tuple[int, int]]) -> Optional[tuple[int, int]]:
@@ -159,16 +219,71 @@ def _merge(a: Optional[tuple[int, int]], b: Optional[tuple[int, int]]) -> Option
     return min(a, b)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_checkpoint(path: str, key: dict) -> Optional[dict]:
-    if not path or not os.path.exists(path):
+    """The checkpoint at ``path`` checked against the sweep ``key``, or None
+    when there is no file yet.  Anything unreadable, of another version or of
+    another sweep raises ValidationError."""
+    try:
+        with open(path) as fh:
+            state = json.load(fh)
+    except FileNotFoundError:
         return None
-    with open(path) as fh:
-        state = json.load(fh)
-    if {k: state.get(k) for k in key} != key:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(state, dict):
+        raise ValidationError(f"checkpoint {path} is not a JSON object")
+    if "version" not in state:
         raise ValidationError(
-            f"checkpoint {path} belongs to a different sweep: {state}"
+            f"checkpoint {path} has no version (a legacy format); delete it to restart the sweep"
         )
+    if state["version"] != CHECKPOINT_VERSION:
+        raise ValidationError(
+            f"checkpoint {path} has version {state['version']!r}, expected {CHECKPOINT_VERSION}"
+        )
+    missing = sorted((set(key) | {"next_counter", "orbits_scanned", "scanned", "best", "best_exact"})
+                     - set(state))
+    if missing:
+        raise ValidationError(f"checkpoint {path} lacks {', '.join(missing)}")
+    found = {k: state[k] for k in key}
+    if found != key:
+        raise ValidationError(f"checkpoint {path} belongs to a different sweep: {found}, not {key}")
+    total = 1 << key["F"]
+    if not _is_int(state["next_counter"]) or not 0 <= state["next_counter"] <= total:
+        raise ValidationError(
+            f"checkpoint {path}: next_counter={state['next_counter']!r} outside [0, {total}]"
+        )
+    for name in ("best", "best_exact"):
+        pair = state[name]
+        if pair is not None and not (
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
+            and 0 <= pair[1] < total
+        ):
+            raise ValidationError(f"checkpoint {path}: {name}={pair!r} is not [value, counter]")
+        if pair is not None:
+            state[name] = tuple(pair)
     return state
+
+
+def _resume_point(path: str, state: dict, reps: np.ndarray, sizes: np.ndarray) -> int:
+    """Number of representatives a checkpoint has scored, after checking its
+    counts against the orbits recomputed for this sweep."""
+    done = int(np.searchsorted(reps, state["next_counter"]))
+    at_rep = done < len(reps) and reps[done] == state["next_counter"]
+    if not (at_rep or (done == len(reps) and state["next_counter"] == 1 << state["F"])):
+        raise ValidationError(
+            f"checkpoint {path}: next_counter={state['next_counter']} is not an orbit representative"
+        )
+    covered = int(sizes[:done].sum())
+    if (state["orbits_scanned"], state["scanned"]) != (done, covered):
+        raise ValidationError(
+            f"checkpoint {path}: {state['orbits_scanned']} orbits covering {state['scanned']} "
+            f"colourings, but the {done} orbits below next_counter cover {covered}"
+        )
+    return done
 
 
 def _save_checkpoint(path: str, state: dict) -> None:
@@ -184,6 +299,15 @@ def _colouring_from_counter(n: int, t: int, counter: int) -> Colouring:
     return table_from_free_layers(n, t, bits)
 
 
+def _check_argmin(argmin: Colouring, value: int, mode: str) -> None:
+    engine = inst_exact if mode == "inst" else winst_exact
+    recomputed = engine(argmin, cap=argmin.n).value
+    if recomputed != value:
+        raise AssertionError(
+            f"argmin recomputation mismatch: sweep {value}, engine {recomputed}"
+        )
+
+
 def _run_sweep(
     n: int,
     t: int,
@@ -192,89 +316,71 @@ def _run_sweep(
     checkpoint_path: Optional[str],
     batch_size: int,
 ) -> SearchResult:
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
     started = time.perf_counter()
     free = _check_free_count(n, t)
     total = 1 << len(free)
-    key = {"n": n, "t": t, "mode": mode}
-
-    next_counter = 0
-    best: Optional[tuple[int, int]] = None
-    best_exact: Optional[tuple[int, int]] = None
-    scanned = 0
+    key = {"n": n, "t": t, "mode": mode, "F": len(free)}
     state = _load_checkpoint(checkpoint_path, key) if checkpoint_path else None
-    if state is not None:
-        next_counter = state["next_counter"]
-        scanned = state["scanned"]
-        if state.get("best") is not None:
-            best = tuple(state["best"])
-        if state.get("best_exact") is not None:
-            best_exact = tuple(state["best_exact"])
+    reps, sizes = _orbits(n, free)
 
-    chunk = max(batch_size, 1 << 16) if threads > 1 else max(batch_size, 1 << 14)
-    ranges = [
-        (n, t, mode, lo, min(lo + chunk, total), batch_size)
-        for lo in range(next_counter, total, chunk)
-    ]
-    if threads > 1 and len(ranges) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=threads) as pool:
-            results = pool.imap(_sweep_chunk_star, ranges)
-            for args, res in zip(ranges, results):
-                best = _merge(best, res["best"])
-                best_exact = _merge(best_exact, res["best_exact"])
-                scanned += res["scanned"]
-                if checkpoint_path:
-                    _save_checkpoint(
-                        checkpoint_path,
-                        dict(key, next_counter=args[4], scanned=scanned,
-                             best=best, best_exact=best_exact),
-                    )
-    else:
-        for args in ranges:
-            res = _sweep_chunk(*args)
-            best = _merge(best, res["best"])
-            best_exact = _merge(best_exact, res["best_exact"])
-            scanned += res["scanned"]
+    done = 0  # representatives scored, a prefix of reps
+    best: Optional[tuple[int, int]] = None  # (value, counter), inst: unfiltered
+    best_exact: Optional[tuple[int, int]] = None
+    if state is not None:
+        done = _resume_point(checkpoint_path, state, reps, sizes)
+        best, best_exact = state["best"], state["best_exact"]
+
+    chunk = max(1, min(batch_size, -(-(len(reps) - done) // threads)))
+    starts = range(done, len(reps), chunk)
+    jobs = [(n, t, mode, reps[i:i + chunk]) for i in starts]
+    with contextlib.ExitStack() as stack:
+        if threads > 1 and len(jobs) > 1:
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(processes=threads))
+            results = pool.imap(_score_star, jobs)
+        else:
+            results = map(_score_star, jobs)
+        for i, (chunk_best, chunk_exact) in zip(starts, results):
+            best = _merge(best, chunk_best)
+            best_exact = _merge(best_exact, chunk_exact)
+            done = min(i + chunk, len(reps))
             if checkpoint_path:
                 _save_checkpoint(
                     checkpoint_path,
-                    dict(key, next_counter=args[4], scanned=scanned,
+                    dict(key, version=CHECKPOINT_VERSION,
+                         next_counter=int(reps[done]) if done < len(reps) else total,
+                         orbits_scanned=done, scanned=int(sizes[:done].sum()),
                          best=best, best_exact=best_exact),
                 )
 
+    covered = int(sizes[:done].sum())
+    if covered != total:
+        raise AssertionError(f"the scored orbits cover {covered} colourings, expected 2^F = {total}")
     elapsed = time.perf_counter() - started
+    counts = dict(colourings_scanned=covered, orbits_scanned=done, elapsed=elapsed)
     if mode == "inst":
-        assert best is not None
+        if best is None:
+            raise AssertionError("inst sweep finished without a minimum")
         value, counter = best
         argmin = _colouring_from_counter(n, t, counter)
-        recomputed = inst_exact(argmin, cap=n).value
-        if recomputed != value:
-            raise AssertionError(
-                f"argmin recomputation mismatch: sweep {value}, engine {recomputed}"
-            )
+        _check_argmin(argmin, value, mode)
         extra_val = extra_spec = None
         if best_exact is not None and best_exact != best:
             extra_val = best_exact[0]
             extra_spec = _colouring_from_counter(n, t, best_exact[1]).spec
         return SearchResult(
-            n=n, t=t, mode="inst", minimum=value, argmin=argmin.spec,
-            colourings_scanned=scanned, elapsed=elapsed,
+            n=n, t=t, mode="inst", minimum=value, argmin=argmin.spec, **counts,
             minimum_exact_tf=extra_val, argmin_exact_tf=extra_spec,
         )
-    assert best_exact is not None, "every (n, t) admits a colouring with radius exactly t"
+    if best_exact is None:
+        raise AssertionError("winst sweep found no colouring with radius exactly t")
     value, counter = best_exact
     argmin = _colouring_from_counter(n, t, counter)
     if argmin.t_f != t:
         raise AssertionError(f"winst argmin has t_f={argmin.t_f}, expected {t}")
-    recomputed = winst_exact(argmin, cap=n).value
-    if recomputed != value:
-        raise AssertionError(
-            f"argmin recomputation mismatch: sweep {value}, engine {recomputed}"
-        )
-    return SearchResult(
-        n=n, t=t, mode="winst", minimum=value, argmin=argmin.spec,
-        colourings_scanned=scanned, elapsed=elapsed,
-    )
+    _check_argmin(argmin, value, mode)
+    return SearchResult(n=n, t=t, mode="winst", minimum=value, argmin=argmin.spec, **counts)
 
 
 def min_inst_exhaustive(

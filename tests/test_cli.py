@@ -173,3 +173,45 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["outputs"]["value"] == 0
+
+
+def test_search_and_conjecture_report_orbits(capsys):
+    code, report = run_json(["search", "--n", "4", "--t", "0", "--mode", "winst"], capsys)
+    assert code == 0
+    assert report["outputs"]["orbits_scanned"] == 518
+    assert report["outputs"]["colourings_scanned"] == 1 << 14
+    code, report = run_json(["verify", "--suite", "conjecture", "--max-n", "3"], capsys)
+    assert code == 0
+    scanned = {v["claim"]: (v["orbits_scanned"], v["colourings_scanned"]) for v in report["verdicts"]}
+    assert scanned["inst(3,0) = 1"] == (13, 64)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"version": 2, "n": 4, "t": 1, "mode": "inst", "F"',  # truncated
+        '{"n": 4, "t": 1, "mode": "inst", "next_counter": 0, "scanned": 0, '
+        '"best": null, "best_exact": null}',  # legacy, no version
+        '{"version": 2, "n": 4, "t": 1, "mode": "inst", "F": 6, "next_counter": 65, '
+        '"orbits_scanned": 0, "scanned": 0, "best": null, "best_exact": null}',
+    ],
+)
+def test_search_resume_refuses_bad_checkpoint(tmp_path, capsys, content):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(content)
+    code = main(["search", "--n", "4", "--t", "1", "--resume", str(ckpt)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "checkpoint" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("before_command", [False, True])
+def test_threads_must_be_positive(capsys, value, before_command):
+    sweep = ["search", "--n", "4", "--t", "1"]
+    args = ["--threads", value] + sweep if before_command else sweep + ["--threads", value]
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    assert "--threads" in capsys.readouterr().err

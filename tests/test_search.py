@@ -1,12 +1,22 @@
-"""Exhaustive sweeps, checkpointing, and the random colouring generator."""
+"""Exhaustive sweeps, their symmetry reduction, checkpointing, and the random colouring generator."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from geostab.colourings import make, t_of
+from geostab import search
+from geostab.colourings import free_point_codes, make, t_of
 from geostab.errors import CapacityError, ValidationError
-from geostab.instability import inst_exact, winst_exact
+from geostab.hypercube import weights_vector
+from geostab.instability import (
+    inst_bruteforce,
+    inst_exact,
+    inst_values_batch,
+    winst_exact,
+    winst_values_batch,
+)
 from geostab.search import (
     min_inst_exhaustive,
     min_winst_exhaustive,
@@ -62,29 +72,174 @@ def test_winst_relay_inequality_at_small_sizes():
     assert winst_min <= min_inst_exhaustive(n, t).minimum
 
 
-def test_checkpoint_resume(tmp_path):
-    path = str(tmp_path / "sweep.json")
-    full = min_inst_exhaustive(4, 0)
-    # run a truncated sweep by hand: scan the first chunk only, then resume
-    state = {
-        "n": 4,
-        "t": 0,
-        "mode": "inst",
-        "next_counter": 1 << 10,
-        "scanned": 1 << 10,
+def _partial_checkpoint(n, t, mode):
+    """A v2 checkpoint that has scored the first half of the orbit representatives."""
+    free = free_point_codes(n, t)
+    reps, sizes = search._orbits(n, free)
+    done = len(reps) // 2
+    return {
+        "version": 2,
+        "n": n,
+        "t": t,
+        "mode": mode,
+        "F": len(free),
+        "next_counter": int(reps[done]),
+        "orbits_scanned": done,
+        "scanned": int(sizes[:done].sum()),
         "best": [3, 0],  # deliberately poor running best from the "done" prefix
         "best_exact": [3, 0],
     }
+
+
+def test_checkpoint_resume(tmp_path):
+    path = str(tmp_path / "sweep.json")
+    full = min_inst_exhaustive(4, 0)
+    # resume a sweep stopped half way through the representatives
+    state = _partial_checkpoint(4, 0, "inst")
     with open(path, "w") as fh:
         json.dump(state, fh)
     resumed = min_inst_exhaustive(4, 0, checkpoint_path=path)
     assert resumed.minimum == min(3, full.minimum)
     assert resumed.colourings_scanned == 1 << 14
+    assert resumed.orbits_scanned == full.orbits_scanned
+    with open(path) as fh:
+        final = json.load(fh)
+    assert (final["next_counter"], final["scanned"]) == (1 << 14, 1 << 14)
+    assert final["orbits_scanned"] == full.orbits_scanned
 
     with open(path, "w") as fh:
         json.dump(dict(state, n=5), fh)
     with pytest.raises(ValidationError):
         min_inst_exhaustive(4, 0, checkpoint_path=path)
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        '{"version": 2, "n": 4, "t": 0, "mo',  # truncated
+        "not json",
+        "[1, 2]",
+        {"version": _DROP, "F": _DROP, "orbits_scanned": _DROP},  # legacy format
+        {"best": _DROP, "scanned": _DROP},
+        {"version": 3},
+        {"next_counter": (1 << 14) + 1},
+        {"next_counter": -1},
+        {"next_counter": "7"},
+        {"next_counter": 2},  # in the orbit of counter 1, so not a representative
+        {"n": 5},
+        {"t": 1},
+        {"mode": "winst"},
+        {"F": 13},
+        {"scanned": 1 << 13},
+        {"orbits_scanned": 3},
+        {"best": [3, 1 << 14]},
+        {"best_exact": "3,0"},
+    ],
+)
+def test_checkpoint_refused(tmp_path, change):
+    if isinstance(change, dict):
+        state = _partial_checkpoint(4, 0, "inst")
+        state.update(change)
+        change = json.dumps({k: v for k, v in state.items() if v is not _DROP})
+    path = tmp_path / "sweep.json"
+    path.write_text(change)
+    with pytest.raises(ValidationError):
+        min_inst_exhaustive(4, 0, checkpoint_path=str(path))
+
+
+def _unreduced_sweep(n, t, mode, batch=1 << 14):
+    """Reference: score all 2^F counters in ascending order.  Returns the
+    (value, counter) minimum over all of them (inst only) and over those
+    with radius exactly t."""
+    free = free_point_codes(n, t)
+    w = weights_vector(n)
+    base = np.where(w >= n - t, 1, 0).astype(np.uint8)
+    best = best_exact = None
+    for lo in range(0, 1 << len(free), batch):
+        counters = np.arange(lo, min(lo + batch, 1 << len(free)))
+        tables = np.repeat(base[None, :], len(counters), axis=0)
+        tables[:, free] = (counters[:, None] >> np.arange(len(free))) & 1
+        # the radius exceeds t when the layers next to both balls join them
+        exact = np.ones(len(counters), dtype=bool)
+        if n >= 2 * t + 3:
+            exact = tables[:, w == t + 1].any(axis=1) | ~tables[:, w == n - t - 1].all(axis=1)
+        if mode == "inst":
+            values = inst_values_batch(tables, n, cap=n)
+            i = int(values.argmin())
+            best = min(filter(None, [best, (int(values[i]), int(counters[i]))]))
+        else:
+            values = winst_values_batch(tables, n, t, cap=n)
+        if exact.any():
+            values, counters = values[exact], counters[exact]
+            i = int(values.argmin())
+            best_exact = min(filter(None, [best_exact, (int(values[i]), int(counters[i]))]))
+    return best, best_exact
+
+
+def _counter_of(f, n, t):
+    free = free_point_codes(n, t)
+    return int(sum(int(b) << j for j, b in enumerate(f.table()[free])))
+
+
+@pytest.mark.parametrize("n, t", [(3, 0), (4, 0), (4, 1), (5, 1)])
+@pytest.mark.parametrize("mode", ["inst", "winst"])
+def test_reduced_sweep_matches_unreduced(n, t, mode):
+    best, best_exact = _unreduced_sweep(n, t, mode)
+    r = (min_inst_exhaustive if mode == "inst" else min_winst_exhaustive)(n, t)
+    f = make(r.argmin)
+    assert (r.minimum, _counter_of(f, n, t)) == (best if mode == "inst" else best_exact)
+    if mode == "inst":
+        if best_exact == best:
+            assert r.minimum_exact_tf is None and r.argmin_exact_tf is None
+        else:
+            fe = make(r.argmin_exact_tf)
+            assert (r.minimum_exact_tf, _counter_of(fe, n, t)) == best_exact
+
+
+@pytest.mark.parametrize("n, t, orbits", [(4, 0, 518), (5, 1, 5466), (6, 2, 1118)])
+def test_orbit_counts_match_burnside(n, t, orbits):
+    r = min_winst_exhaustive(n, t)
+    assert (r.orbits_scanned, r.colourings_scanned) == (orbits, 1 << len(free_point_codes(n, t)))
+
+
+def test_orbit_sizes_divide_group_order():
+    for n, t in [(4, 0), (6, 2)]:
+        reps, sizes = search._orbits(n, free_point_codes(n, t))
+        assert reps[0] == 0 and list(reps) == sorted(reps)
+        assert all((2 * math.factorial(n)) % s == 0 for s in sizes)
+
+
+def _table_image(table, n, g):
+    """Independent action on a colour table: generator g < n-1 swaps
+    coordinates g and g+1, g = n-1 is the complement map x -> 1 - f(~x)."""
+    codes = np.arange(1 << n)
+    if g == n - 1:
+        return (1 - table[codes ^ ((1 << n) - 1)]).astype(np.uint8)
+    swap = (((codes >> g) ^ (codes >> (g + 1))) & 1) * (3 << g)
+    return table[codes ^ swap]
+
+
+@pytest.mark.parametrize("n, t", [(5, 1), (6, 2)])
+def test_generators_preserve_values(n, t):
+    free = free_point_codes(n, t)
+    gens = search._generators(n, free)
+    for seed in range(6):
+        f = random_colouring(n, t, seed=seed)
+        counter = _counter_of(f, n, t)
+        images = search._apply_generators(gens, np.array([counter]))[:, 0]
+        assert len(images) == n
+        inst, winst = inst_exact(f).value, winst_exact(f).value
+        for g, image in enumerate(images):
+            fg = search._colouring_from_counter(n, t, int(image))
+            assert np.array_equal(fg.table(), _table_image(f.table(), n, g))
+            assert fg.t_f == f.t_f
+            assert inst_exact(fg).value == inst
+            assert winst_exact(fg).value == winst
+            if n <= 5:
+                assert inst_bruteforce(fg) == inst
 
 
 def test_capacity_gate_names_free_count():
