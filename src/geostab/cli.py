@@ -197,11 +197,12 @@ def _cmd_inst(args) -> tuple[dict, int]:
     return report, code
 
 
-def _parse_n_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _parse_n_range(text: str) -> range:
+    lo, sep, hi = text.partition(":")
+    try:
+        return range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError as exc:
+        raise ValidationError(f"--n must be an integer or a range 'lo:hi', got {text!r}") from exc
 
 
 def _cmd_bounds(args) -> tuple[dict, int]:

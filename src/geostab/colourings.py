@@ -385,15 +385,15 @@ def complement_colouring(f: Colouring) -> Colouring:
 
 def table_to_hex(table: bytes) -> str:
     """Hex text form: bit p = colour of code p, highest codes leading."""
-    value = 0
-    for p, bit in enumerate(table):
-        if bit:
-            value |= 1 << p
-    width = max(1, (len(table) + 3) // 4)
+    bits = np.frombuffer(bytes(table), dtype=np.uint8) != 0
+    value = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    width = max(1, (len(bits) + 3) // 4)
     return format(value, f"0{width}x")
 
 
 def table_from_hex(hex_text: str, n: int) -> bytes:
+    if not 0 <= n <= MAX_POINT_DIMENSION:
+        raise ValidationError(f"table hex needs 0 <= n <= {MAX_POINT_DIMENSION}, got n={n}")
     N = 1 << n
     width = max(1, (N + 3) // 4)
     text = hex_text.strip().lower()
@@ -407,7 +407,8 @@ def table_from_hex(hex_text: str, n: int) -> bytes:
         raise ValidationError(f"not a hex string: {hex_text!r}") from exc
     if value >> N:
         raise ValidationError(f"table hex has bits beyond 2^{n}")
-    return bytes((value >> p) & 1 for p in range(N))
+    packed = np.frombuffer(value.to_bytes((N + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=N, bitorder="little").tobytes()
 
 
 def spec_to_json_dict(spec: ColouringSpec) -> dict:
@@ -424,6 +425,22 @@ def spec_to_json_dict(spec: ColouringSpec) -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool, as a JSON integer field must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(value, name: str) -> int:
+    if not _is_int(value):
+        raise ValidationError(f"spec field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _optional_int(data: dict, name: str) -> Optional[int]:
+    value = data.get(name)
+    return None if value is None else _int_field(value, name)
+
+
 def spec_from_json_dict(data: dict) -> ColouringSpec:
     if not isinstance(data, dict):
         raise ValidationError("colouring spec must be a JSON object")
@@ -432,23 +449,26 @@ def spec_from_json_dict(data: dict) -> ColouringSpec:
         raise ValidationError(f"unknown spec fields: {sorted(unknown)}")
     try:
         kind = data["kind"]
-        n = int(data["n"])
+        n = _int_field(data["n"], "n")
     except KeyError as exc:
         raise ValidationError(f"spec is missing required field {exc}") from exc
     partition = None
     if data.get("partition") is not None:
-        partition = tuple(tuple(int(i) for i in block) for block in data["partition"])
+        blocks = data["partition"]
+        if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+            raise ValidationError("spec field 'partition' must be a list of integer lists")
+        partition = tuple(tuple(_int_field(i, "partition") for i in block) for block in blocks)
     table = None
     if data.get("table") is not None:
         table = table_from_hex(str(data["table"]), n)
     return ColouringSpec(
         kind=kind,
         n=n,
-        t=None if data.get("t") is None else int(data["t"]),
-        k=None if data.get("k") is None else int(data["k"]),
+        t=_optional_int(data, "t"),
+        k=_optional_int(data, "k"),
         tie=data.get("tie"),
         partition=partition,
-        j=None if data.get("j") is None else int(data["j"]),
-        s=None if data.get("s") is None else int(data["s"]),
+        j=_optional_int(data, "j"),
+        s=_optional_int(data, "s"),
         table=table,
     )

@@ -7,12 +7,15 @@ future jumps, the recurrence maximises over i in S of
     [colour changes when i flips] + g(x with bit i flipped, S without i)
 
 and the answer is the maximum of g(x, full set) over admissible starts.
-Subsets are visited in ascending integer code, so every subset is finished
-before any of its supersets; for fixed S the update is vectorised over all
-2^n points at once (the states of equal subset size are independent, which
-is also what makes the table safe to fill in parallel).  The table holds
-4^n small integers; end-colour constraints use a second table whose
-terminal row marks impossible endpoints with a negative sentinel.
+The table is indexed by (S, z) with z = x XOR S, the point the geodesic
+will end at.  Flipping bit i changes x and S together and leaves z alone,
+so every predecessor state sits in the same column of another row: a row
+is filled from whole rows, with one gather of the colours per row.  Each
+entry stores 2*g(x, S) + f(x); the colour in the low bit turns the jump
+into a parity.  Subsets are visited in ascending integer code, so every
+subset is finished before any of its supersets.  One table of 4^n bytes
+serves every engine: since a geodesic from s ends at the complement of s,
+an end-colour constraint is a filter on the starts.
 
 A literal brute-force enumerator over all starts and flip permutations is
 kept as an independent oracle for cross-checking at tiny dimensions.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -33,7 +37,6 @@ from .hypercube import Geodesic, Point, weights_vector
 
 DEFAULT_MAX_N = 13
 _BRUTEFORCE_MAX_N = 6
-_NEG = np.int8(-64)  # sentinel for "no admissible completion"; stays < 0 under +1 per level
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ def dimension_cap(explicit: Optional[int] = None) -> int:
     """Engine dimension cap: explicit argument, else GEOSTAB_MAX_N, else 13.
 
     Passing ``cap`` explicitly (or setting the environment variable) is the
-    acknowledgement that two 4^n-entry tables fit in memory.
+    acknowledgement that a 4^n-byte table fits in memory.
     """
     if explicit is not None:
         return explicit
@@ -98,54 +101,78 @@ def jumps_of_path(f: Colouring, seq: Sequence[Point]) -> PathReport:
     return PathReport(jump_count=len(jumps), jump_indices=tuple(jumps))
 
 
-def _xor_indices(n: int) -> list[np.ndarray]:
-    idx = np.arange(1 << n)
-    return [idx ^ (1 << i) for i in range(n)]
+@lru_cache(maxsize=None)
+def _predecessor_rows(n: int) -> tuple[np.ndarray, ...]:
+    """For each subset S, the rows S without i, one per i in S, ascending i."""
+    return tuple(
+        np.array([S ^ (1 << i) for i in range(n) if S >> i & 1], dtype=np.intp)
+        for S in range(1 << n)
+    )
 
 
-def _dp_table(table: np.ndarray, n: int, end_colour: Optional[int]) -> np.ndarray:
-    """g(x, S) for all states, as G[S, x]; terminal row fixed by end_colour."""
-    N = 1 << n
-    xor_idx = _xor_indices(n)
-    jump = [
-        (table ^ table[xor_idx[i]]).astype(np.int8)
-        for i in range(n)
-    ]
-    G = np.empty((N, N), dtype=np.int8)
-    if end_colour is None:
-        G[0] = 0
-    else:
-        G[0] = np.where(table == end_colour, np.int8(0), _NEG)
-    buf = np.empty(N, dtype=np.int8)
-    for S in range(1, N):
-        acc = None
-        rest = S
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            np.take(G[S ^ (1 << i)], xor_idx[i], out=buf)
-            buf += jump[i]
-            if acc is None:
-                acc = buf.copy()
-            else:
-                np.maximum(acc, buf, out=acc)
-        G[S] = acc
-    return G
+def _dp_fill(tables: np.ndarray, n: int) -> np.ndarray:
+    """Q[S, z, b] = 2*g(z^S, S) + f_b(z^S) for a (B, 2^n) colour-table batch.
+
+    The predecessor of state (x, S) through bit i is (x^e_i, S^e_i), which
+    is column z of row S^e_i.  Xor-ing in f(x) leaves 2*g + jump; rounding
+    up to even gives 2*(g + jump), and since rounding is monotone it can
+    follow the maximum over i.  Entries stay below 2n+2 <= 127.
+    """
+    B, N = tables.shape
+    if N != 1 << n:
+        raise ValidationError(f"tables must have 2^{n} columns, got {N}")
+    T = np.ascontiguousarray(tables.T, dtype=np.int8)
+    Q = np.empty((N, N, B), dtype=np.int8)
+    Q[0] = T
+    # The colours f(z^S) of row S, with z split into high and low halves:
+    # A[s] holds every point's colour with its low half xor-ed by s, so a
+    # row needs only a gather of whole blocks of A[S_low] by z_high^S_high.
+    # Every take index is in range; mode="clip" spares the buffered copy
+    # of ``out`` that the default mode="raise" makes.
+    l = n // 2
+    L, H = 1 << l, N >> l
+    A = np.empty((L, H, L, B), dtype=np.int8)
+    for s in range(L):
+        T.reshape(H, L, B).take(np.arange(L) ^ s, axis=1, out=A[s], mode="clip")
+    high = np.arange(H)
+    idx = np.empty_like(high)
+    P = np.empty((N, B), dtype=np.int8)
+    buf = np.empty((n, N, B), dtype=np.int8)
+    for S, preds in enumerate(_predecessor_rows(n)[1:], start=1):
+        np.bitwise_xor(high, S >> l, out=idx)
+        A[S & (L - 1)].take(idx, axis=0, out=P.reshape(H, L, B), mode="clip")
+        X = buf[: len(preds)]
+        Q.take(preds, axis=0, out=X, mode="clip")
+        X ^= P
+        row = Q[S]
+        np.maximum.reduce(X, axis=0, out=row)
+        row += 1
+        row &= -2
+        row += P
+    return Q
 
 
-def _reconstruct(G: np.ndarray, table: np.ndarray, n: int, start: int) -> tuple[int, ...]:
+def _top_values(Q: np.ndarray) -> np.ndarray:
+    """g(x, full set) as a (B, 2^n) array indexed by batch row and start x."""
+    return (Q[-1] >> 1)[::-1].T
+
+
+def _reconstruct(Q: np.ndarray, table: np.ndarray, n: int, start: int) -> tuple[int, ...]:
     """Greedy re-descent through a finished table; smallest coordinate first,
-    which yields the lexicographically least optimal flip order."""
+    which yields the lexicographically least optimal flip order.  The end
+    point z = start^full is fixed along the whole descent."""
     order = []
     S = (1 << n) - 1
     x = start
+    z = start ^ S
+    g = Q[:, z, 0] >> 1
     for _ in range(n):
-        target = int(G[S][x])
+        target = int(g[S])
         for i in range(n):
             bit = 1 << i
             if S & bit:
                 nx = x ^ bit
-                step = int(table[x] != table[nx]) + int(G[S ^ bit][nx])
+                step = int(table[x] != table[nx]) + int(g[S ^ bit])
                 if step == target:
                     order.append(i + 1)
                     x = nx
@@ -156,17 +183,30 @@ def _reconstruct(G: np.ndarray, table: np.ndarray, n: int, start: int) -> tuple[
     return tuple(order)
 
 
+def _best_start(
+    f: Colouring, starts: np.ndarray, mode: str, t_used: Optional[int]
+) -> InstabilityReport:
+    """Report the first start of maximum value among ``starts`` with its
+    witness, or a None report when ``starts`` is empty."""
+    if starts.size == 0:
+        return InstabilityReport(mode=mode, value=None, witness=None, t_used=t_used)
+    table = f.table()
+    Q = _dp_fill(table[None], f.n)
+    vals = _top_values(Q)[0][starts]
+    start = int(starts[int(np.argmax(vals))])
+    order = _reconstruct(Q, table, f.n, start)
+    return InstabilityReport(
+        mode=mode,
+        value=int(vals.max()),
+        witness=Geodesic(Point(f.n, start), order),
+        t_used=t_used,
+    )
+
+
 def inst_exact(f: Colouring, cap: Optional[int] = None) -> InstabilityReport:
     """Exact inst(f): maximum jumps over all 2^n * n! geodesics, with witness."""
     _check_cap(f.n, cap)
-    table = f.table()
-    G = _dp_table(table, f.n, end_colour=None)
-    top = G[(1 << f.n) - 1]
-    start = int(np.argmax(top))
-    value = int(top[start])
-    order = _reconstruct(G, table, f.n, start)
-    witness = Geodesic(Point(f.n, start), order)
-    return InstabilityReport(mode="inst", value=value, witness=witness)
+    return _best_start(f, np.arange(1 << f.n), "inst", None)
 
 
 def inst_restricted(
@@ -177,80 +217,41 @@ def inst_restricted(
     cap: Optional[int] = None,
 ) -> InstabilityReport:
     """Maximum jumps over geodesics with a fixed start weight and optional
-    start/end colour constraints; value None when no geodesic qualifies."""
+    start/end colour constraints; value None when no geodesic qualifies.
+
+    A geodesic from s ends at ~s, so both colour constraints filter starts.
+    """
     if not (0 <= start_weight <= f.n):
         raise ValidationError(f"start weight {start_weight} out of range [0, {f.n}]")
     _check_cap(f.n, cap)
     table = f.table()
-    w = weights_vector(f.n)
-    starts = np.nonzero(w == start_weight)[0]
+    starts = np.nonzero(weights_vector(f.n) == start_weight)[0]
     if start_colour is not None:
         starts = starts[table[starts] == start_colour]
-    none_report = InstabilityReport(
-        mode="m-geodesic", value=None, witness=None, t_used=start_weight
-    )
-    if starts.size == 0:
-        return none_report
-    G = _dp_table(table, f.n, end_colour=end_colour)
-    vals = G[(1 << f.n) - 1][starts]
-    best = int(vals.max())
-    if best < 0:
-        return none_report
-    start = int(starts[int(np.argmax(vals))])
-    order = _reconstruct(G, table, f.n, start)
-    return InstabilityReport(
-        mode="m-geodesic",
-        value=best,
-        witness=Geodesic(Point(f.n, start), order),
-        t_used=start_weight,
-    )
+    if end_colour is not None:
+        starts = starts[table[starts ^ ((1 << f.n) - 1)] == end_colour]
+    return _best_start(f, starts, "m-geodesic", start_weight)
 
 
 def winst_exact(f: Colouring, cap: Optional[int] = None) -> InstabilityReport:
     """Exact winst(f): maximum jumps over well-ending (t_f+1)-geodesics.
 
     A geodesic ends well if its first point is coloured 1 or its last point
-    is coloured 0 (inclusive or).  The two disjuncts are the two restricted
-    engines sharing one pair of tables: start-colour 1 against the plain
-    table, end-colour 0 against the end-constrained one.
+    is coloured 0 (inclusive or).  The last point is the complement of the
+    first, so both disjuncts filter the starts of one unconstrained table.
     """
     t = f.t_f
     if t < 0:
         raise UndefinedRadiusError("winst is undefined for colourings with t_f = -1")
     _check_cap(f.n, cap)
-    n = f.n
     table = f.table()
-    w = weights_vector(n)
-    starts = np.nonzero(w == t + 1)[0]
-    G_plain = _dp_table(table, n, end_colour=None)
-    G_end0 = _dp_table(table, n, end_colour=0)
-    top_plain = G_plain[(1 << n) - 1]
-    top_end0 = G_end0[(1 << n) - 1]
-
-    best_value: Optional[int] = None
-    best_start: Optional[int] = None
-    best_from_plain = False
-    for s in starts.tolist():
-        candidates = []
-        if table[s] == 1:
-            candidates.append((int(top_plain[s]), True))
-        if top_end0[s] >= 0:
-            candidates.append((int(top_end0[s]), False))
-        for value, from_plain in candidates:
-            if best_value is None or value > best_value:
-                best_value, best_start, best_from_plain = value, s, from_plain
-    if best_value is None:
+    starts = np.nonzero(weights_vector(f.n) == t + 1)[0]
+    starts = starts[(table[starts] == 1) | (table[starts ^ ((1 << f.n) - 1)] == 0)]
+    if starts.size == 0:
         raise AssertionError(
             "a colouring with t_f >= 0 always admits a well-ending (t_f+1)-geodesic"
         )
-    G = G_plain if best_from_plain else G_end0
-    order = _reconstruct(G, table, n, best_start)
-    return InstabilityReport(
-        mode="winst",
-        value=best_value,
-        witness=Geodesic(Point(n, best_start), order),
-        t_used=t,
-    )
+    return _best_start(f, starts, "winst", t)
 
 
 def inst_bruteforce(f: Colouring) -> int:
@@ -276,39 +277,10 @@ def inst_bruteforce(f: Colouring) -> int:
     return best
 
 
-def _batch_top_values(tables: np.ndarray, n: int) -> np.ndarray:
-    """g(x, full set) for a batch of colourings; tables has shape (B, 2^n)."""
-    B, N = tables.shape
-    if N != 1 << n:
-        raise ValidationError(f"tables must have 2^{n} columns, got {N}")
-    xor_idx = _xor_indices(n)
-    jump = [
-        (tables ^ tables[:, xor_idx[i]]).astype(np.int8)
-        for i in range(n)
-    ]
-    G = np.empty((N, B, N), dtype=np.int8)
-    G[0] = 0
-    buf = np.empty((B, N), dtype=np.int8)
-    for S in range(1, N):
-        acc = None
-        rest = S
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            np.take(G[S ^ (1 << i)], xor_idx[i], axis=1, out=buf)
-            buf += jump[i]
-            if acc is None:
-                acc = buf.copy()
-            else:
-                np.maximum(acc, buf, out=acc)
-        G[S] = acc
-    return G[N - 1]
-
-
 def inst_values_batch(tables: np.ndarray, n: int, cap: Optional[int] = None) -> np.ndarray:
     """inst(f) for every row of a (B, 2^n) colour-table batch."""
     _check_cap(n, cap)
-    return _batch_top_values(tables, n).max(axis=1).astype(np.int16)
+    return _top_values(_dp_fill(tables, n)).max(axis=1).astype(np.int16)
 
 
 def winst_values_batch(
@@ -317,10 +289,10 @@ def winst_values_batch(
     """winst(f) for every row; rows are assumed to respect the radius-t balls.
 
     Because a geodesic ends at the complement of its start, both well-ending
-    disjuncts are start properties, so one unconstrained table suffices here.
+    disjuncts are start properties.
     """
     _check_cap(n, cap)
-    top = _batch_top_values(tables, n)
+    top = _top_values(_dp_fill(tables, n))
     w = weights_vector(n)
     starts = np.nonzero(w == t + 1)[0]
     comps = starts ^ ((1 << n) - 1)

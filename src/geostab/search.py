@@ -42,7 +42,13 @@ from typing import Optional
 
 import numpy as np
 
-from .colourings import Colouring, ColouringSpec, free_point_codes, table_from_free_layers
+from .colourings import (
+    Colouring,
+    ColouringSpec,
+    _is_int,
+    free_point_codes,
+    table_from_free_layers,
+)
 from .errors import CapacityError, ValidationError
 from .hypercube import weights_vector
 from .instability import inst_exact, inst_values_batch, winst_exact, winst_values_batch
@@ -217,10 +223,6 @@ def _merge(a: Optional[tuple[int, int]], b: Optional[tuple[int, int]]) -> Option
     if b is None:
         return a
     return min(a, b)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _load_checkpoint(path: str, key: dict) -> Optional[dict]:

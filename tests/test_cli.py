@@ -215,3 +215,44 @@ def test_threads_must_be_positive(capsys, value, before_command):
         main(args)
     assert err.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def _assert_refused(code, capsys):
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        '"k": "x"',
+        '"k": 3.0',
+        '"k": 3.7',
+        '"k": [3]',
+        '"k": true',
+        '"t": "1"',
+        '"n": 5.0',
+        '"n": "5"',
+        '"n": false',
+        '"n": null',
+        '"j": {}',
+        '"s": 1.5',
+        '"partition": [[4, 5, "x"]]',
+        '"partition": [[4, 5, 6.0]]',
+        '"partition": [4, 5, 6]',
+        '"partition": "456"',
+    ],
+)
+def test_spec_file_non_integer_fields_exit_2(tmp_path, capsys, fields):
+    base = {"kind": "majority", "n": 5, "t": 1, "k": 3}
+    extra = json.loads("{" + fields + "}")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**base, **extra}))
+    _assert_refused(main(["inst", "--colouring", str(spec)]), capsys)
+
+
+@pytest.mark.parametrize("n_arg", ["3:x", "x", "3:", ":4", "1:2:3", "3.5"])
+def test_bounds_malformed_n_exit_2(capsys, n_arg):
+    _assert_refused(main(["bounds", "--n", n_arg]), capsys)

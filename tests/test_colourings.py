@@ -228,6 +228,51 @@ def test_hex_table_round_trip():
         table_from_hex(hx + "0", 4)
 
 
+
+def _loop_to_hex(table):
+    value = 0
+    for p, bit in enumerate(table):
+        if bit:
+            value |= 1 << p
+    return format(value, f"0{max(1, (len(table) + 3) // 4)}x")
+
+
+def _loop_from_hex(text, n):
+    value = int(text, 16)
+    return bytes((value >> p) & 1 for p in range(1 << n))
+
+
+def test_hex_codec_matches_bit_loop():
+    # the codec must agree with the literal one-bit-at-a-time definition
+    rng = np.random.default_rng(6)
+    for n in range(11):
+        N = 1 << n
+        tables = [bytes(N), bytes([1]) * N, bytes([1]) + bytes(N - 1), bytes(N - 1) + bytes([1])]
+        tables += [rng.integers(0, 2, N).astype(np.uint8).tobytes() for _ in range(3)]
+        for table in tables:
+            hx = table_to_hex(table)
+            assert hx == _loop_to_hex(table)
+            assert len(hx) == max(1, N // 4)
+            assert table_from_hex(hx, n) == table == _loop_from_hex(hx, n)
+            assert table_from_hex(" " + hx.upper() + "\n", n) == table
+    # any non-zero byte is colour 1
+    assert table_to_hex(bytes([0, 7, 255, 0])) == "6"
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("00", 0), ("2", 0), ("g", 0), ("", 0),
+        ("4", 1), ("03", 1), ("x", 1),
+        ("1ff", 3), ("f", 3), ("zz", 3),
+        ("1ffff", 4), ("fff", 4), ("fffg", 4), ("0", -1), ("0", 25),
+    ],
+)
+def test_hex_codec_refusals(text, n):
+    with pytest.raises(ValidationError):
+        table_from_hex(text, n)
+
+
 def test_spec_json_round_trip():
     specs = [
         ColouringSpec(kind="majority", n=5, t=1, k=3),

@@ -231,3 +231,104 @@ def test_batch_kernels_match_single_engines():
             assert iv[i] == inst_exact(fs[i]).value
             if fs[i].t_f == t:
                 assert wv[i] == winst_exact(fs[i]).value
+
+
+def _reference_fill(tables, n):
+    """g(x, S) as G[S, b, x] by the direct recurrence: for each (S, i), gather
+    row S without i at the flipped points and add the jump of that flip."""
+    B, N = tables.shape
+    x = np.arange(N)
+    G = np.zeros((N, B, N), dtype=np.int8)
+    for S in range(1, N):
+        best = None
+        for i in range(n):
+            if S >> i & 1:
+                nx = x ^ (1 << i)
+                step = (tables != tables[:, nx]) + np.take(G[S ^ (1 << i)], nx, axis=1)
+                best = step if best is None else np.maximum(best, step)
+        G[S] = best
+    return G
+
+
+def _seeded_tables(B, n):
+    rng = np.random.default_rng(40 + 10 * B + n)
+    return rng.integers(0, 2, size=(B, 1 << n)).astype(np.uint8)
+
+
+@pytest.mark.parametrize("B", [1, 7])
+def test_reference_fill_top_row_matches_engines(B):
+    for n in range(1, 9):
+        tables = _seeded_tables(B, n)
+        top = _reference_fill(tables, n)[-1]
+        assert (inst_values_batch(tables, n) == top.max(axis=1)).all()
+        for b in range(B):
+            f = make(ColouringSpec(kind="table", n=n, table=tables[b].tobytes()))
+            rep = inst_exact(f)
+            assert rep.value == top[b].max() and rep.witness.start.code == top[b].argmax()
+
+
+@pytest.mark.parametrize("B", [1, 7])
+def test_relabelled_fill_matches_reference_recurrence(B):
+    # the kernel stores row S, column z = x^S as 2*g(x, S) + f(x)
+    from geostab.instability import _dp_fill
+
+    for n in range(1, 9):
+        N = 1 << n
+        tables = _seeded_tables(B, n)
+        G = _reference_fill(tables, n)
+        Q = _dp_fill(tables, n)
+        assert Q.shape == (N, N, B)
+        x = np.arange(N)
+        for S in range(N):
+            assert (Q[S][x ^ S].T == 2 * G[S] + tables).all()
+
+
+def _lex_least_optimal(f, admissible):
+    """Literal search: the first (start, flip order) in lexicographic order
+    that reaches the maximum jump count among admissible starts."""
+    n = f.n
+    table = f.table()
+    best, arg = None, None
+    for start in range(1 << n):
+        if not admissible(start):
+            continue
+        for order in itertools.permutations(range(1, n + 1)):
+            x, jumps = start, 0
+            for i in order:
+                nx = x ^ (1 << (i - 1))
+                jumps += int(table[x] != table[nx])
+                x = nx
+            if best is None or jumps > best:
+                best, arg = jumps, Geodesic(Point(n, start), order)
+    return best, arg
+
+
+def test_witnesses_are_lex_least_optimal():
+    rng = np.random.default_rng(8)
+    for n in range(1, 6):
+        full = (1 << n) - 1
+        bits = rng.integers(0, 2, size=(2, 1 << n)).astype(np.uint8)
+        fs = [make(ColouringSpec(kind="table", n=n, table=b.tobytes())) for b in bits]
+        fs += [_random_colouring(rng, n, t) for t in range((n - 1) // 2 + 1)]
+        for f in fs:
+            table = f.table()
+            rep = inst_exact(f)
+            assert (rep.value, rep.witness) == _lex_least_optimal(f, lambda s: True)
+            for w0 in range(n + 1):
+                for sc in (None, 0, 1):
+                    for ec in (None, 0, 1):
+                        rep = inst_restricted(f, w0, start_colour=sc, end_colour=ec)
+                        assert (rep.value, rep.witness) == _lex_least_optimal(
+                            f,
+                            lambda s: weight(Point(n, s)) == w0
+                            and sc in (None, table[s])
+                            and ec in (None, table[s ^ full]),
+                        )
+            if f.t_f >= 0:
+                t = f.t_f
+                rep = winst_exact(f)
+                assert (rep.value, rep.witness) == _lex_least_optimal(
+                    f,
+                    lambda s: weight(Point(n, s)) == t + 1
+                    and (table[s] == 1 or table[s ^ full] == 0),
+                )
