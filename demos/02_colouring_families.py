@@ -19,7 +19,6 @@ from geostab import (
     make,
     min_defining_k,
     respects_balls,
-    t_of,
 )
 
 maj = make(ColouringSpec(kind="majority", n=6, t=2, k=3))
@@ -27,7 +26,7 @@ print("maj_2(3) on H_6:")
 for bits in ("110100", "001011", "111000", "000111"):
     p = Point.from_bit_string(bits)
     print(f"  colour({bits}) = {maj.evaluate(p)}")
-print("  t_f =", t_of(maj), " respects B_2?", respects_balls(maj, 2))
+print("  t_f =", maj.t_f, " respects B_2?", respects_balls(maj, 2))
 print("  defined by entries {1,2,3}?", is_defined_by(maj, [1, 2, 3]))
 print("  minimal defining set size:", min_defining_k(maj))
 
@@ -37,7 +36,7 @@ part = make(
     )
 )
 print("\nb_2^3 on H_6 with the balanced partition", part.spec.partition)
-print("  t_f =", t_of(part))
+print("  t_f =", part.t_f)
 print("  strictly n-defined block ingredient a^Q_0 has no small defining set:")
 aqj = make(ColouringSpec(kind="aqj", n=5, t=1, s=1, j=0, partition=((1, 2), (3, 4, 5))))
 print("  min_defining_k(a^Q_0 on H_5) =", min_defining_k(aqj))

@@ -26,12 +26,10 @@ from .colourings import (
     ColouringSpec,
     balanced_partition,
     complement_colouring,
-    evaluate,
     is_defined_by,
     make,
     min_defining_k,
     respects_balls,
-    t_of,
     table_from_free_layers,
 )
 from .instability import (

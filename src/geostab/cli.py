@@ -29,7 +29,9 @@ from .colourings import (
     Colouring,
     ColouringSpec,
     balanced_partition,
+    majority_grid,
     make,
+    partition_grid,
     spec_from_json_dict,
     spec_to_json_dict,
 )
@@ -280,27 +282,9 @@ def _cmd_witness(args) -> tuple[dict, int]:
     return report, EXIT_OK if ok else EXIT_CLAIM_FAILED
 
 
-def _grid_majority(max_n: int):
-    for t in range(0, (max_n - 1) // 2 + 1):
-        for k in range(1, 2 * t + 2):
-            for n in range(max(2 * t + 1, k), max_n + 1):
-                yield n, t, k
-
-
-def _grid_partition(max_n: int):
-    for t in range(0, (max_n - 1) // 2 + 1):
-        for k in range(1, 2 * t + 2, 2):
-            s = t - (k + 1) // 2
-            n_min = k if s == -1 else (s + 1) * (t + 1) + k
-            n_max = k if s == -1 else max_n
-            for n in range(n_min, n_max + 1):
-                if n <= max_n:
-                    yield n, t, k
-
-
 def _suite_majo(max_n: int, seed: int, threads: int) -> list[dict]:
     verdicts = []
-    for n, t, k in _grid_majority(max_n):
+    for n, t, k in majority_grid(max_n):
         f = make(ColouringSpec(kind="majority", n=n, t=t, k=k))
         value = inst_exact(f).value
         verdicts.append(
@@ -315,7 +299,7 @@ def _suite_majo(max_n: int, seed: int, threads: int) -> list[dict]:
 
 def _suite_block(max_n: int, seed: int, threads: int) -> list[dict]:
     verdicts = []
-    for n, t, k in _grid_partition(max_n):
+    for n, t, k in partition_grid(max_n):
         f = make(
             ColouringSpec(
                 kind="partition", n=n, t=t, k=k, partition=balanced_partition(n, t, k)

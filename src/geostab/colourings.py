@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -83,6 +83,7 @@ class Colouring:
         return self._table
 
     def evaluate(self, x: Point) -> int:
+        """Colour of x; errors on dimension mismatch."""
         if x.n != self.n:
             raise ValidationError(
                 f"point dimension {x.n} does not match colouring dimension {self.n}"
@@ -91,6 +92,7 @@ class Colouring:
 
     @property
     def t_f(self) -> int:
+        """Largest t whose balls the colouring respects; -1 when f(0^n)=1 or f(1^n)=0."""
         if self._t_f is None:
             self._t_f = _radius_of_table(self._table, self.n)
         return self._t_f
@@ -269,16 +271,6 @@ def _make_constant(spec: ColouringSpec) -> Colouring:
     return Colouring(spec, table)
 
 
-def evaluate(f: Colouring, x: Point) -> int:
-    """Colour of x under f; errors on dimension mismatch."""
-    return f.evaluate(x)
-
-
-def t_of(f: Colouring) -> int:
-    """Largest t whose balls f respects; -1 when f(0^n)=1 or f(1^n)=0."""
-    return f.t_f
-
-
 def respects_balls(f: Colouring, t: int) -> bool:
     """Whether f is canonically 0/1 on the radius-t balls. t must be valid for n."""
     _require(t >= 0, f"need t >= 0, got t={t}")
@@ -351,6 +343,26 @@ def balanced_partition(n: int, t: int, k: int) -> tuple[tuple[int, ...], ...]:
         blocks.append(tuple(range(start, start + size)))
         start += size
     return tuple(blocks)
+
+
+def majority_grid(max_n: int) -> Iterator[tuple[int, int, int]]:
+    """Every (n, t, k) with n <= max_n for which maj_t(k) is defined on H_n."""
+    for t in range(0, (max_n - 1) // 2 + 1):
+        for k in range(1, 2 * t + 2):
+            for n in range(max(2 * t + 1, k), max_n + 1):
+                yield n, t, k
+
+
+def partition_grid(max_n: int) -> Iterator[tuple[int, int, int]]:
+    """Every (n, t, k) with n <= max_n for which b_t^k has a balanced partition."""
+    for t in range(0, (max_n - 1) // 2 + 1):
+        for k in range(1, 2 * t + 2, 2):
+            s = t - (k + 1) // 2
+            n_min = k if s == -1 else (s + 1) * (t + 1) + k
+            n_max = k if s == -1 else max_n
+            for n in range(n_min, n_max + 1):
+                if n <= max_n:
+                    yield n, t, k
 
 
 def free_point_codes(n: int, t: int) -> np.ndarray:

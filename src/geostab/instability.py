@@ -103,11 +103,14 @@ def jumps_of_path(f: Colouring, seq: Sequence[Point]) -> PathReport:
 
 @lru_cache(maxsize=None)
 def _predecessor_rows(n: int) -> tuple[np.ndarray, ...]:
-    """For each subset S, the rows S without i, one per i in S, ascending i."""
-    return tuple(
-        np.array([S ^ (1 << i) for i in range(n) if S >> i & 1], dtype=np.intp)
-        for S in range(1 << n)
-    )
+    """For each subset S, the rows S without i, one per i in S, ascending i:
+    views into one flat array."""
+    subsets = np.arange(1 << n, dtype=np.intp)[:, None]
+    bits = 1 << np.arange(n, dtype=np.intp)
+    member = (subsets & bits) != 0
+    flat = (subsets ^ bits)[member]
+    ends = np.cumsum(member.sum(axis=1)).tolist()
+    return tuple(flat[a:b] for a, b in zip([0] + ends, ends))
 
 
 def _dp_fill(tables: np.ndarray, n: int) -> np.ndarray:

@@ -8,17 +8,19 @@ colours the j-th free point).
 Coordinate permutations and the complement map f -> 1 - f(~x) preserve the
 balls, the radius t_f, inst and winst.  A sweep therefore scores one
 counter per orbit of this group of order 2 n!: the orbit's least counter,
-its representative.  The orbits are found by a scan in ascending counter
-order over a 2^F bitmap of covered counters; the first uncovered counter
-starts a new orbit, which is closed under the group's generators (the n-1
-adjacent coordinate transpositions and the complement map, acting on the
-counter bits).  A sweep reports the representatives scored
-(``orbits_scanned``) and the colourings they cover, the sum of their orbit
-sizes (``colourings_scanned``), which is 2^F for a finished sweep.  Every
-orbit member has its representative's value and the representative is the
-orbit's least counter, so the (value, counter) minimum is the one an
-unreduced scan of all 2^F counters finds.  Batches of representatives are
-scored at once by the vectorised instability kernels.
+its representative.  The group is closed once per sweep from its
+generators (the n-1 adjacent coordinate transpositions and the complement
+map), as the list of its distinct actions on counter bits.  The orbits are
+then found by a scan in ascending counter order over a 2^F bitmap of
+covered counters: the first uncovered counter starts a new orbit, which is
+the set of its images under every action.  A sweep reports the
+representatives scored (``orbits_scanned``) and the colourings they cover,
+the sum of their orbit sizes (``colourings_scanned``), which is 2^F for a
+finished sweep.  Every orbit member has its representative's value and the
+representative is the orbit's least counter, so the (value, counter)
+minimum is the one an unreduced scan of all 2^F counters finds.  Batches
+of representatives are scored at once by the vectorised instability
+kernels.
 
 The inst sweep minimises over every enumerated colouring (Problem-style
 "respects the balls"), and additionally reports the minimum over the
@@ -51,13 +53,12 @@ from .colourings import (
 )
 from .errors import CapacityError, ValidationError
 from .hypercube import weights_vector
-from .instability import inst_exact, inst_values_batch, winst_exact, winst_values_batch
+from .instability import _check_cap, inst_exact, inst_values_batch, winst_exact, winst_values_batch
 
 MAX_FREE_POINTS = 22
 DEFAULT_BATCH = 4096
 CHECKPOINT_VERSION = 2
 _RETRY_CAP = 10_000
-_LUT_BITS = 11  # two lookups cover a counter under the F <= 22 gate
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,10 @@ class SearchResult:
 
 
 def _check_free_count(n: int, t: int) -> np.ndarray:
+    """The sweep's free points; the dimension cap is checked before any 2^n array is built."""
     if t < 0 or n < 2 * t + 1:
         raise ValidationError(f"t={t} not valid for n={n}")
+    _check_cap(n, None)
     free = free_point_codes(n, t)
     if len(free) > MAX_FREE_POINTS:
         raise CapacityError(
@@ -114,45 +117,50 @@ def _exact_tf_layer_bits(n: int, t: int, free: np.ndarray) -> tuple[np.ndarray, 
     return low, high
 
 
-def _generators(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetry group's generators acting on counters, as lookup tables.
+def _group(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct action of the symmetry group on counters.
 
-    Returns ``(luts, masks)``: generator g sends counter c to
-    ``masks[g] ^ luts[g, 0, c & L] ^ luts[g, 1, (c >> 11) & L]`` with
-    L = 2^11 - 1.  Rows 0..n-2 swap coordinates i and i+1; row n-1 is the
-    complement map, which sends free point x to ~x and flips every bit.
-    Each generator is an involution, so bit j moves to the position of the
-    image of the j-th free point.
+    Returns ``(weights, masks)``: action a sends the counter with bit vector
+    b to ``masks[a] ^ (weights[a] @ b)``, where ``weights[a, j]`` is
+    ``1 << dest``, dest being the position of the j-th free point's image,
+    and ``masks[a]`` flips every bit when the action includes the
+    complement map.  The group is closed from its generators, the n-1
+    adjacent coordinate transpositions and the complement map, so its size
+    is the number of distinct actions: 2 n! when F > 0 and 2 when F = 0.
     """
     F = len(free)
     images = [free ^ ((((free >> i) ^ (free >> (i + 1))) & 1) * (3 << i)) for i in range(n - 1)]
     images.append(free ^ ((1 << n) - 1))
-    masks = np.zeros(n, dtype=np.int64)
-    masks[-1] = (1 << F) - 1
-    chunk_values = np.arange(1 << min(F, _LUT_BITS), dtype=np.int64)
-    luts = np.zeros((n, max(1, -(-F // _LUT_BITS)), len(chunk_values)), dtype=np.int64)
-    for g, image in enumerate(images):
-        dest = np.searchsorted(free, image)
-        for j in range(F):
-            luts[g, j // _LUT_BITS] |= ((chunk_values >> (j % _LUT_BITS)) & 1) << dest[j]
-    return luts, masks
-
-
-def _apply_generators(gens: tuple[np.ndarray, np.ndarray], counters: np.ndarray) -> np.ndarray:
-    """Every generator applied to every counter, as a (generators, counters) array."""
-    luts, masks = gens
-    low = (1 << _LUT_BITS) - 1
-    images = luts[:, 0, counters & low] ^ masks[:, None]
-    for k in range(1, luts.shape[1]):
-        images ^= luts[:, k, (counters >> (k * _LUT_BITS)) & low]
-    return images
+    # an action is a row of destinations with its complement flag in column
+    # F; the closure keys the rows by their bytes
+    gens = np.zeros((n, F + 1), dtype=np.int8)
+    gens[:, :F] = np.searchsorted(free, images)
+    gens[-1, F] = 1
+    group = {np.append(np.arange(F), 0).astype(np.int8).tobytes()}
+    frontier = group
+    while frontier:
+        rows = np.frombuffer(b"".join(frontier), dtype=np.int8).reshape(-1, F + 1)
+        raw = np.concatenate(
+            [np.column_stack((g[rows[:, :F]], rows[:, F] ^ g[F])) for g in gens]
+        ).tobytes()
+        frontier = {raw[i:i + F + 1] for i in range(0, len(raw), F + 1)} - group
+        group |= frontier
+    actions = np.frombuffer(b"".join(sorted(group)), dtype=np.int8).reshape(-1, F + 1)
+    weights = np.left_shift(1, actions[:, :F], dtype=np.int64)
+    masks = actions[:, F] * np.int64((1 << F) - 1)
+    return weights, masks
 
 
 def _orbits(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least counter and size of every orbit, ascending by least counter."""
-    gens = _generators(n, free)
+    """Least counter and size of every orbit, ascending by least counter.
+
+    An orbit is the image set of its least counter under the whole group;
+    by orbit-stabiliser its size is the group order over the number of
+    actions that fix that counter.
+    """
+    weights, masks = _group(n, free)
+    positions = np.arange(len(free))
     uncovered = np.ones(1 << len(free), dtype=bool)
-    slot = np.zeros(len(uncovered), dtype=np.int32)  # dedupe scratch
     reps: list[int] = []
     sizes: list[int] = []
     rep = 0
@@ -160,21 +168,10 @@ def _orbits(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rep += int(uncovered[rep:].argmax())
         if not uncovered[rep]:
             break
-        uncovered[rep] = False
-        frontier = np.array([rep], dtype=np.int64)
-        size = 1
-        while len(frontier):
-            new = _apply_generators(gens, frontier).ravel()
-            new = new[uncovered[new]]
-            # keep one copy of each counter: the one whose position survives in slot
-            order = np.arange(len(new), dtype=np.int32)
-            slot[new] = order
-            new = new[slot[new] == order]
-            uncovered[new] = False
-            size += len(new)
-            frontier = new
+        images = masks ^ (weights @ ((rep >> positions) & 1))
+        uncovered[images] = False
         reps.append(rep)
-        sizes.append(size)
+        sizes.append(len(images) // int(np.count_nonzero(images == rep)))
     return np.array(reps, dtype=np.int64), np.array(sizes, dtype=np.int64)
 
 
@@ -205,11 +202,11 @@ def _score(
         low_idx, high_idx = _exact_tf_layer_bits(n, t, free)
         exact = bits[:, low_idx].any(axis=1) | ~bits[:, high_idx].all(axis=1)
     if mode == "inst":
-        values = inst_values_batch(tables, n, cap=n)
+        values = inst_values_batch(tables, n)
         return _least(values, counters), _least(values[exact], counters[exact])
     if not exact.any():
         return None, None
-    values = winst_values_batch(tables[exact], n, t, cap=n)
+    values = winst_values_batch(tables[exact], n, t)
     return None, _least(values, counters[exact])
 
 
@@ -303,7 +300,7 @@ def _colouring_from_counter(n: int, t: int, counter: int) -> Colouring:
 
 def _check_argmin(argmin: Colouring, value: int, mode: str) -> None:
     engine = inst_exact if mode == "inst" else winst_exact
-    recomputed = engine(argmin, cap=argmin.n).value
+    recomputed = engine(argmin).value
     if recomputed != value:
         raise AssertionError(
             f"argmin recomputation mismatch: sweep {value}, engine {recomputed}"

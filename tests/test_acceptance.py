@@ -12,7 +12,9 @@ from geostab.bounds import zigzag_inst_formula, zigzag_winst_formula
 from geostab.colourings import (
     ColouringSpec,
     balanced_partition,
+    majority_grid,
     make,
+    partition_grid,
 )
 from geostab.constructions import (
     ConstructionResult,
@@ -43,41 +45,23 @@ def _line(num: int, ok: bool, text: str) -> None:
     assert ok, f"criterion {num} failed: {text}"
 
 
-def _majority_grid():
-    for t in range(0, (MAX_N - 1) // 2 + 1):
-        for k in range(1, 2 * t + 2):
-            for n in range(max(2 * t + 1, k), MAX_N + 1):
-                yield n, t, k
-
-
-def _partition_grid():
-    for t in range(0, (MAX_N - 1) // 2 + 1):
-        for k in range(1, 2 * t + 2, 2):
-            s = t - (k + 1) // 2
-            if s == -1:
-                if k <= MAX_N:
-                    yield k, t, k
-                continue
-            for n in range((s + 1) * (t + 1) + k, MAX_N + 1):
-                yield n, t, k
-
-
 def test_criterion_1_majority_optimality():
     bad = []
     cases = 0
-    for n, t, k in _majority_grid():
+    for n, t, k in majority_grid(MAX_N):
         f = make(ColouringSpec(kind="majority", n=n, t=t, k=k))
         cases += 1
         if inst_exact(f).value != 2 * t + 1:
             bad.append((n, t, k))
-    _line(1, not bad, f"inst(maj_t(k)) = 2t+1 on all {cases} grids with n <= {MAX_N}"
+    _line(1, not bad and cases == 146,
+          f"inst(maj_t(k)) = 2t+1 on all {cases} grids with n <= {MAX_N}"
           + (f"; failures {bad[:5]}" if bad else ""))
 
 
 def test_criterion_2_partition_optimality():
     bad = []
     cases = 0
-    for n, t, k in _partition_grid():
+    for n, t, k in partition_grid(MAX_N):
         f = make(
             ColouringSpec(
                 kind="partition", n=n, t=t, k=k, partition=balanced_partition(n, t, k)
@@ -86,7 +70,8 @@ def test_criterion_2_partition_optimality():
         cases += 1
         if inst_exact(f).value != 2 * t + 1:
             bad.append((n, t, k))
-    _line(2, not bad, f"inst(b_t^k) = 2t+1 on all {cases} balanced grids with n <= {MAX_N}"
+    _line(2, not bad and cases == 30,
+          f"inst(b_t^k) = 2t+1 on all {cases} balanced grids with n <= {MAX_N}"
           + (f"; failures {bad[:5]}" if bad else ""))
 
 
@@ -158,7 +143,7 @@ def test_criterion_6_zigzag_bounds_sampled():
 
 def test_criterion_7_construction_contracts():
     bad = []
-    for n, t, k in _majority_grid():
+    for n, t, k in majority_grid(MAX_N):
         f = make(ColouringSpec(kind="majority", n=n, t=t, k=k))
         res = majority_witness(n, t, k, f)
         pts = expand(res.geodesic)
@@ -169,7 +154,7 @@ def test_criterion_7_construction_contracts():
             and f.evaluate(pts[-1]) == 0
         ):
             bad.append(("majority", n, t, k))
-    for n, t, k in _partition_grid():
+    for n, t, k in partition_grid(MAX_N):
         f = make(
             ColouringSpec(
                 kind="partition", n=n, t=t, k=k, partition=balanced_partition(n, t, k)

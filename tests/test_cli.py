@@ -112,6 +112,14 @@ def test_exit_code_capacity(capsys):
     assert code == 4
 
 
+def test_search_beyond_dimension_cap_exit_4(capsys):
+    code = main(["search", "--n", "100", "--t", "0"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "dimension 100" in captured.err and "Traceback" not in captured.err
+
+
 def test_verify_conjecture_small(capsys):
     code, report = run_json(["verify", "--suite", "conjecture", "--max-n", "4"], capsys)
     assert code == 0

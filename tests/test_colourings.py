@@ -10,14 +10,12 @@ from geostab.colourings import (
     ColouringSpec,
     balanced_partition,
     complement_colouring,
-    evaluate,
     is_defined_by,
     make,
     min_defining_k,
     respects_balls,
     spec_from_json_dict,
     spec_to_json_dict,
-    t_of,
     table_from_free_layers,
     table_from_hex,
     table_to_hex,
@@ -86,7 +84,7 @@ def test_make_validation_errors():
 def test_evaluate_dimension_mismatch():
     f = maj(4, 1, 1)
     with pytest.raises(ValidationError):
-        evaluate(f, P("10000"))
+        f.evaluate(P("10000"))
 
 
 def _t_of_oracle(f):
@@ -109,10 +107,10 @@ def _t_of_oracle(f):
 
 
 def test_t_of_examples():
-    assert t_of(make(ColouringSpec(kind="constant", n=3, j=0))) == -1
-    assert t_of(table_from_free_layers(3, 1, [])) == 1
+    assert make(ColouringSpec(kind="constant", n=3, j=0)).t_f == -1
+    assert table_from_free_layers(3, 1, []).t_f == 1
     f = maj(6, 2, 3)
-    assert t_of(f) == 2 == _t_of_oracle(f)
+    assert f.t_f == 2 == _t_of_oracle(f)
 
 
 def test_t_of_majority_property():
@@ -120,7 +118,7 @@ def test_t_of_majority_property():
         for k in range(1, 2 * t + 2):
             for n in range(2 * t + 2, 9):
                 f = maj(n, t, k)
-                assert t_of(f) == t
+                assert f.t_f == t
 
 
 def test_respects_balls():

@@ -1,5 +1,6 @@
 """Exhaustive sweeps, their symmetry reduction, checkpointing, and the random colouring generator."""
 
+import itertools
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from geostab import search
-from geostab.colourings import free_point_codes, make, t_of
+from geostab.colourings import ColouringSpec, free_point_codes, make
 from geostab.errors import CapacityError, ValidationError
 from geostab.hypercube import weights_vector
 from geostab.instability import (
@@ -45,7 +46,7 @@ def test_argmin_reproduces_minimum():
     assert inst_exact(f).value == r.minimum
     rw = min_winst_exhaustive(4, 1)
     fw = make(rw.argmin)
-    assert t_of(fw) == 1
+    assert fw.t_f == 1
     assert winst_exact(fw).value == rw.minimum
 
 
@@ -150,18 +151,25 @@ def test_checkpoint_refused(tmp_path, change):
         min_inst_exhaustive(4, 0, checkpoint_path=str(path))
 
 
+def _tables_of(n, t, counters):
+    """Colour tables of free-layer counters, canonical on the radius-t balls."""
+    free = free_point_codes(n, t)
+    base = np.where(weights_vector(n) >= n - t, 1, 0).astype(np.uint8)
+    tables = np.repeat(base[None, :], len(counters), axis=0)
+    tables[:, free] = (np.asarray(counters)[:, None] >> np.arange(len(free))) & 1
+    return tables
+
+
 def _unreduced_sweep(n, t, mode, batch=1 << 14):
     """Reference: score all 2^F counters in ascending order.  Returns the
     (value, counter) minimum over all of them (inst only) and over those
     with radius exactly t."""
     free = free_point_codes(n, t)
     w = weights_vector(n)
-    base = np.where(w >= n - t, 1, 0).astype(np.uint8)
     best = best_exact = None
     for lo in range(0, 1 << len(free), batch):
         counters = np.arange(lo, min(lo + batch, 1 << len(free)))
-        tables = np.repeat(base[None, :], len(counters), axis=0)
-        tables[:, free] = (counters[:, None] >> np.arange(len(free))) & 1
+        tables = _tables_of(n, t, counters)
         # the radius exceeds t when the layers next to both balls join them
         exact = np.ones(len(counters), dtype=bool)
         if n >= 2 * t + 3:
@@ -212,34 +220,70 @@ def test_orbit_sizes_divide_group_order():
         assert all((2 * math.factorial(n)) % s == 0 for s in sizes)
 
 
-def _table_image(table, n, g):
-    """Independent action on a colour table: generator g < n-1 swaps
-    coordinates g and g+1, g = n-1 is the complement map x -> 1 - f(~x)."""
+def _test_actions(n):
+    """Every (coordinate permutation, complement or not) pair as the image of
+    every point code: bit i of a code moves to bit perm[i], then all bits
+    flip when the pair includes the complement map."""
     codes = np.arange(1 << n)
-    if g == n - 1:
-        return (1 - table[codes ^ ((1 << n) - 1)]).astype(np.uint8)
-    swap = (((codes >> g) ^ (codes >> (g + 1))) & 1) * (3 << g)
-    return table[codes ^ swap]
+    for perm in itertools.permutations(range(n)):
+        moved = sum(((codes >> i) & 1) << p for i, p in enumerate(perm))
+        for comp in (0, 1):
+            yield (moved ^ ((1 << n) - 1) if comp else moved), comp
 
 
 @pytest.mark.parametrize("n, t", [(5, 1), (6, 2)])
-def test_generators_preserve_values(n, t):
+def test_group_preserves_values(n, t):
     free = free_point_codes(n, t)
-    gens = search._generators(n, free)
+    weights, masks = search._group(n, free)
+    assert len(weights) == len(masks) == 2 * math.factorial(n)
+    w = weights_vector(n)
     for seed in range(6):
         f = random_colouring(n, t, seed=seed)
-        counter = _counter_of(f, n, t)
-        images = search._apply_generators(gens, np.array([counter]))[:, 0]
-        assert len(images) == n
-        inst, winst = inst_exact(f).value, winst_exact(f).value
-        for g, image in enumerate(images):
-            fg = search._colouring_from_counter(n, t, int(image))
-            assert np.array_equal(fg.table(), _table_image(f.table(), n, g))
-            assert fg.t_f == f.t_f
-            assert inst_exact(fg).value == inst
-            assert winst_exact(fg).value == winst
-            if n <= 5:
-                assert inst_bruteforce(fg) == inst
+        table = f.table()
+        images = masks ^ (weights @ ((_counter_of(f, n, t) >> np.arange(len(free))) & 1))
+        tables = _tables_of(n, t, images)
+        # the group's images are, as tables, those of every test-side action
+        expected = []
+        for points, comp in _test_actions(n):
+            image = np.empty_like(table)
+            image[points] = table ^ comp
+            expected.append(image.tobytes())
+        assert sorted(map(bytes, tables)) == sorted(expected)
+        radius = np.minimum(np.where(tables == 1, w, n + 1).min(axis=1),
+                            np.where(tables == 0, n - w, n + 1).min(axis=1)) - 1
+        assert (radius == f.t_f).all()
+        assert (inst_values_batch(tables, n) == inst_exact(f).value).all()
+        assert (winst_values_batch(tables, n, f.t_f) == winst_exact(f).value).all()
+        if n <= 5:
+            for image in tables[:: len(tables) // n]:
+                g = make(ColouringSpec(kind="table", n=n, table=image.tobytes()))
+                assert inst_bruteforce(g) == inst_exact(f).value
+
+
+@pytest.mark.parametrize("n, t", [(3, 0), (4, 0), (4, 1)])
+def test_orbits_match_lex_leader_oracle(n, t):
+    # a counter is a representative iff it is <= each of its images under
+    # the test-side actions; its orbit is the set of those images
+    free = free_point_codes(n, t)
+    counters = np.arange(1 << len(free))
+    images = []
+    for points, comp in _test_actions(n):
+        dest = np.searchsorted(free, points[free])
+        moved = sum(((counters >> j) & 1) << d for j, d in enumerate(dest))
+        images.append(moved ^ ((1 << len(free)) - 1) if comp else moved)
+    images = np.sort(images, axis=0)
+    leaders = counters == images[0]
+    sizes = 1 + (np.diff(images, axis=0) != 0).sum(axis=0)
+    reps, orbit_sizes = search._orbits(n, free)
+    assert np.array_equal(reps, counters[leaders])
+    assert np.array_equal(orbit_sizes, sizes[leaders])
+
+
+def test_orbits_without_free_points():
+    free = free_point_codes(13, 6)
+    assert len(search._group(13, free)[0]) == 2
+    reps, sizes = search._orbits(13, free)
+    assert list(reps) == [0] and list(sizes) == [1]
 
 
 def test_capacity_gate_names_free_count():
@@ -248,12 +292,26 @@ def test_capacity_gate_names_free_count():
     assert "F=50" in str(err.value)
 
 
+def test_sweeps_honour_dimension_cap(monkeypatch):
+    def started(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(search, "_orbits", started)
+    for n, t in [(100, 0), (15, 7)]:
+        with pytest.raises(CapacityError) as err:
+            min_inst_exhaustive(n, t)
+        assert f"dimension {n}" in str(err.value)
+    monkeypatch.setenv("GEOSTAB_MAX_N", "5")
+    with pytest.raises(CapacityError):
+        min_winst_exhaustive(6, 2)
+
+
 def test_random_colouring_contracts():
     f1 = random_colouring(5, 1, seed=1)
     f2 = random_colouring(5, 1, seed=1)
     assert f1.table().tobytes() == f2.table().tobytes()
-    assert t_of(f1) >= 1
+    assert f1.t_f >= 1
     f3 = random_colouring(7, 2, seed=7, exact_tf=True)
-    assert t_of(f3) == 2
+    assert f3.t_f == 2
     with pytest.raises(ValidationError):
         random_colouring(4, 2, seed=0)
