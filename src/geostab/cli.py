@@ -282,7 +282,7 @@ def _cmd_witness(args) -> tuple[dict, int]:
     return report, EXIT_OK if ok else EXIT_CLAIM_FAILED
 
 
-def _suite_majo(max_n: int, seed: int, threads: int) -> list[dict]:
+def _suite_majo(max_n: int, seed: int) -> list[dict]:
     verdicts = []
     for n, t, k in majority_grid(max_n):
         f = make(ColouringSpec(kind="majority", n=n, t=t, k=k))
@@ -297,7 +297,7 @@ def _suite_majo(max_n: int, seed: int, threads: int) -> list[dict]:
     return verdicts
 
 
-def _suite_block(max_n: int, seed: int, threads: int) -> list[dict]:
+def _suite_block(max_n: int, seed: int) -> list[dict]:
     verdicts = []
     for n, t, k in partition_grid(max_n):
         f = make(
@@ -316,7 +316,7 @@ def _suite_block(max_n: int, seed: int, threads: int) -> list[dict]:
     return verdicts
 
 
-def _suite_zigzag(max_n: int, seed: int, threads: int, samples: int = 20) -> list[dict]:
+def _suite_zigzag(max_n: int, seed: int, samples: int = 20) -> list[dict]:
     from .bounds import zigzag_inst_formula, zigzag_winst_formula
 
     verdicts = []
@@ -342,7 +342,7 @@ def _suite_zigzag(max_n: int, seed: int, threads: int, samples: int = 20) -> lis
     return verdicts
 
 
-def _suite_conjecture(max_n: int, seed: int, threads: int) -> list[dict]:
+def _suite_conjecture(max_n: int, seed: int) -> list[dict]:
     from .colourings import free_point_codes
     from .search import MAX_FREE_POINTS
 
@@ -351,7 +351,7 @@ def _suite_conjecture(max_n: int, seed: int, threads: int) -> list[dict]:
         for t in range(0, (n - 1) // 2 + 1):
             if len(free_point_codes(n, t)) > MAX_FREE_POINTS:
                 continue
-            res = min_inst_exhaustive(n, t, threads=threads)
+            res = min_inst_exhaustive(n, t)
             verdicts.append(
                 {
                     "claim": f"inst({n},{t}) = {2 * t + 1}",
@@ -364,7 +364,7 @@ def _suite_conjecture(max_n: int, seed: int, threads: int) -> list[dict]:
     return verdicts
 
 
-def _suite_oracle(max_n: int, seed: int, threads: int) -> list[dict]:
+def _suite_oracle(max_n: int, seed: int) -> list[dict]:
     verdicts = []
     for n in range(3, min(max_n, 5) + 1):
         ok = True
@@ -394,7 +394,7 @@ _SUITES = {
 def _cmd_verify(args) -> tuple[dict, int]:
     if args.suite not in _SUITES:
         raise ValidationError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}")
-    verdicts = _SUITES[args.suite](args.max_n, args.seed, args.threads)
+    verdicts = _SUITES[args.suite](args.max_n, args.seed)
     failed = [v for v in verdicts if v["status"] != "pass"]
     report = {
         "inputs": {"suite": args.suite, "max_n": args.max_n, "seed": args.seed},
@@ -406,7 +406,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 def _cmd_search(args) -> tuple[dict, int]:
     runner = min_inst_exhaustive if args.mode == "inst" else min_winst_exhaustive
-    res = runner(args.n, args.t, threads=args.threads, checkpoint_path=args.resume)
+    res = runner(args.n, args.t, checkpoint_path=args.resume)
     report = {
         "inputs": {"n": args.n, "t": args.t, "mode": args.mode},
         "outputs": _search_output(res),
@@ -506,16 +506,6 @@ def _add_colouring_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--table", help="colour table as lowercase hex")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     # the same flags live on the root parser and on every subparser (with
     # suppressed defaults) so they may be given on either side of the command
@@ -525,7 +515,6 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--format", choices=["json", "csv"], default=default("json"))
     p.add_argument("--out", default=default(None),
                    help="write the report to this path instead of stdout")
-    p.add_argument("--threads", type=_positive_int, default=default(1))
     p.add_argument("--seed", type=int, default=default(0))
 
 
@@ -583,19 +572,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     started = time.perf_counter()
     try:
         body, code = handler(args)
+        report = {
+            "command": args.command,
+            "engine": {"name": "geostab", "version": __version__, "dimension_cap": dimension_cap()},
+            **body,
+            "timing": {"elapsed_s": round(time.perf_counter() - started, 6)},
+        }
+        write_report(report, args.format, args.out)
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except ValidationError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    report = {
-        "command": args.command,
-        "engine": {"name": "geostab", "version": __version__, "dimension_cap": dimension_cap()},
-        **body,
-        "timing": {"elapsed_s": round(time.perf_counter() - started, 6)},
-    }
-    write_report(report, args.format, args.out)
     return code
 
 

@@ -84,7 +84,7 @@ def _check_cap(n: int, cap: Optional[int]) -> None:
     if n > limit:
         raise CapacityError(
             f"dimension {n} exceeds the engine cap {limit}; "
-            "pass cap=... or set GEOSTAB_MAX_N to acknowledge the memory cost"
+            "set GEOSTAB_MAX_N to acknowledge the memory cost"
         )
 
 

@@ -25,18 +25,17 @@ kernels.
 The inst sweep minimises over every enumerated colouring (Problem-style
 "respects the balls"), and additionally reports the minimum over the
 colourings whose radius is exactly t.  The winst sweep keeps only radius-
-exactly-t colourings.  Both filters are orbit-invariant.  Sweeps checkpoint
-their progress and the running minimum to a JSON file so long runs can
-resume, and can split the representatives over worker processes; the
-combined result is independent of the split because minima are merged by
+exactly-t colourings.  Both filters are orbit-invariant.  A sweep runs in
+one process (the public sweeps accept ``threads`` only as 1).  It scores
+the representatives in chunks and checkpoints its progress and the running
+minimum to a JSON file after every chunk, so long runs can resume; the
+result is independent of the chunking because minima are merged by
 (value, counter).
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -156,9 +155,12 @@ def _orbits(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     An orbit is the image set of its least counter under the whole group;
     by orbit-stabiliser its size is the group order over the number of
-    actions that fix that counter.
+    actions that fix that counter.  The images are summed as float64, where
+    the product runs in BLAS; every weight is a power of two below 2^F, so
+    every sum is an integer below 2^F <= 2^22 and exact.
     """
     weights, masks = _group(n, free)
+    weights = weights.astype(np.float64)
     positions = np.arange(len(free))
     uncovered = np.ones(1 << len(free), dtype=bool)
     reps: list[int] = []
@@ -168,7 +170,7 @@ def _orbits(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rep += int(uncovered[rep:].argmax())
         if not uncovered[rep]:
             break
-        images = masks ^ (weights @ ((rep >> positions) & 1))
+        images = masks ^ (weights @ ((rep >> positions) & 1)).astype(np.int64)
         uncovered[images] = False
         reps.append(rep)
         sizes.append(len(images) // int(np.count_nonzero(images == rep)))
@@ -208,10 +210,6 @@ def _score(
         return None, None
     values = winst_values_batch(tables[exact], n, t)
     return None, _least(values, counters[exact])
-
-
-def _score_star(args) -> tuple:
-    return _score(*args)
 
 
 def _merge(a: Optional[tuple[int, int]], b: Optional[tuple[int, int]]) -> Optional[tuple[int, int]]:
@@ -287,9 +285,12 @@ def _resume_point(path: str, state: dict, reps: np.ndarray, sizes: np.ndarray) -
 
 def _save_checkpoint(path: str, state: dict) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(state, fh)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(state, fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ValidationError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
 def _colouring_from_counter(n: int, t: int, counter: int) -> Colouring:
@@ -315,8 +316,10 @@ def _run_sweep(
     checkpoint_path: Optional[str],
     batch_size: int,
 ) -> SearchResult:
-    if threads < 1:
-        raise ValidationError(f"threads must be at least 1, got {threads}")
+    if threads != 1:
+        raise ValidationError(f"sweeps run in one process; threads must be 1, got {threads}")
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be at least 1, got {batch_size}")
     started = time.perf_counter()
     free = _check_free_count(n, t)
     total = 1 << len(free)
@@ -331,27 +334,19 @@ def _run_sweep(
         done = _resume_point(checkpoint_path, state, reps, sizes)
         best, best_exact = state["best"], state["best_exact"]
 
-    chunk = max(1, min(batch_size, -(-(len(reps) - done) // threads)))
-    starts = range(done, len(reps), chunk)
-    jobs = [(n, t, mode, reps[i:i + chunk]) for i in starts]
-    with contextlib.ExitStack() as stack:
-        if threads > 1 and len(jobs) > 1:
-            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(processes=threads))
-            results = pool.imap(_score_star, jobs)
-        else:
-            results = map(_score_star, jobs)
-        for i, (chunk_best, chunk_exact) in zip(starts, results):
-            best = _merge(best, chunk_best)
-            best_exact = _merge(best_exact, chunk_exact)
-            done = min(i + chunk, len(reps))
-            if checkpoint_path:
-                _save_checkpoint(
-                    checkpoint_path,
-                    dict(key, version=CHECKPOINT_VERSION,
-                         next_counter=int(reps[done]) if done < len(reps) else total,
-                         orbits_scanned=done, scanned=int(sizes[:done].sum()),
-                         best=best, best_exact=best_exact),
-                )
+    for i in range(done, len(reps), batch_size):
+        chunk_best, chunk_exact = _score(n, t, mode, reps[i:i + batch_size])
+        best = _merge(best, chunk_best)
+        best_exact = _merge(best_exact, chunk_exact)
+        done = min(i + batch_size, len(reps))
+        if checkpoint_path:
+            _save_checkpoint(
+                checkpoint_path,
+                dict(key, version=CHECKPOINT_VERSION,
+                     next_counter=int(reps[done]) if done < len(reps) else total,
+                     orbits_scanned=done, scanned=int(sizes[:done].sum()),
+                     best=best, best_exact=best_exact),
+            )
 
     covered = int(sizes[:done].sum())
     if covered != total:

@@ -139,7 +139,7 @@ def test_verify_oracle_and_exit3(monkeypatch, capsys):
 
     import geostab.cli as cli_mod
 
-    def broken(max_n, seed, threads):
+    def broken(max_n, seed):
         return [{"claim": "forced", "status": "FAIL"}]
 
     monkeypatch.setitem(cli_mod._SUITES, "oracle", broken)
@@ -214,22 +214,48 @@ def test_search_resume_refuses_bad_checkpoint(tmp_path, capsys, content):
     assert "checkpoint" in captured.err
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-@pytest.mark.parametrize("before_command", [False, True])
-def test_threads_must_be_positive(capsys, value, before_command):
-    sweep = ["search", "--n", "4", "--t", "1"]
-    args = ["--threads", value] + sweep if before_command else sweep + ["--threads", value]
-    with pytest.raises(SystemExit) as err:
-        main(args)
-    assert err.value.code == 2
-    assert "--threads" in capsys.readouterr().err
-
-
-def _assert_refused(code, capsys):
+def _assert_refused(code, capsys, expected=2):
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
+    assert code == expected and captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bounds", "--n", "5", "--t", "1"],
+        ["witness", "--construction", "majority", "--n", "5", "--t", "1", "--k", "3"],
+    ],
+)
+def test_malformed_dimension_cap_env_exit_2(monkeypatch, capsys, args):
+    monkeypatch.setenv("GEOSTAB_MAX_N", "x")
+    assert "GEOSTAB_MAX_N" in _assert_refused(main(args), capsys)
+
+
+def test_unwritable_out_file_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    err = _assert_refused(main(["--out", str(out), "bounds", "--n", "5", "--t", "1"]), capsys)
+    assert "cannot write report" in err
+
+
+def test_unwritable_checkpoint_exit_2(tmp_path, capsys):
+    ckpt = tmp_path / "missing" / "ck.json"
+    err = _assert_refused(main(["search", "--n", "4", "--t", "1", "--resume", str(ckpt)]), capsys)
+    assert "cannot write checkpoint" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["search", "--n", "100", "--t", "0"],
+        ["inst", "--kind", "constant", "--n", "14", "--j", "0"],
+    ],
+)
+def test_capacity_message_names_only_the_env_variable(capsys, args):
+    err = _assert_refused(main(args), capsys, expected=4)
+    assert "GEOSTAB_MAX_N" in err and "cap=" not in err
 
 
 @pytest.mark.parametrize(

@@ -60,10 +60,20 @@ def test_sweeps_are_reproducible():
     )
 
 
-def test_threaded_sweep_matches_serial():
+def test_chunked_sweep_matches_single_chunk():
     a = min_inst_exhaustive(4, 0)
-    b = min_inst_exhaustive(4, 0, threads=2, batch_size=1024)
-    assert (a.minimum, a.argmin) == (b.minimum, b.argmin)
+    b = min_inst_exhaustive(4, 0, batch_size=100)  # 518 representatives: six chunks
+    assert (a.minimum, a.argmin, a.colourings_scanned, a.orbits_scanned) == (
+        b.minimum,
+        b.argmin,
+        b.colourings_scanned,
+        b.orbits_scanned,
+    )
+    for threads in (2, 0):
+        with pytest.raises(ValidationError, match="one process"):
+            min_inst_exhaustive(4, 0, threads=threads)
+    with pytest.raises(ValidationError, match="batch_size"):
+        min_inst_exhaustive(4, 0, batch_size=0)
 
 
 def test_winst_relay_inequality_at_small_sizes():
@@ -112,6 +122,11 @@ def test_checkpoint_resume(tmp_path):
         json.dump(dict(state, n=5), fh)
     with pytest.raises(ValidationError):
         min_inst_exhaustive(4, 0, checkpoint_path=path)
+
+
+def test_unwritable_checkpoint_is_refused(tmp_path):
+    with pytest.raises(ValidationError, match="cannot write checkpoint"):
+        min_inst_exhaustive(3, 1, checkpoint_path=str(tmp_path / "missing" / "ck.json"))
 
 
 _DROP = object()
