@@ -24,16 +24,20 @@ import time
 from typing import Optional
 
 from . import __version__
-from .bounds import best_lower_bound, formula_bounds
+from .bounds import best_lower_bound, formula_bounds, zigzag_inst_formula, zigzag_winst_formula
 from .colourings import (
+    KINDS,
+    TIE_RULES,
     Colouring,
     ColouringSpec,
     balanced_partition,
+    free_point_codes,
     majority_grid,
     make,
     partition_grid,
     spec_from_json_dict,
     spec_to_json_dict,
+    table_from_hex,
 )
 from .constructions import (
     ConstructionResult,
@@ -54,7 +58,7 @@ from .instability import (
     jumps_of_path,
     winst_exact,
 )
-from .search import min_inst_exhaustive, min_winst_exhaustive, random_colouring
+from .search import MAX_FREE_POINTS, min_inst_exhaustive, min_winst_exhaustive, random_colouring
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -105,11 +109,7 @@ def _colouring_from_args(args) -> Colouring:
         if args.t is None or args.k is None:
             raise ValidationError("partition colourings need --t and --k")
         partition = balanced_partition(args.n, args.t, args.k)
-    table = None
-    if args.table is not None:
-        from .colourings import table_from_hex
-
-        table = table_from_hex(args.table, args.n)
+    table = None if args.table is None else table_from_hex(args.table, args.n)
     spec = ColouringSpec(
         kind=args.kind,
         n=args.n,
@@ -202,9 +202,12 @@ def _cmd_inst(args) -> tuple[dict, int]:
 def _parse_n_range(text: str) -> range:
     lo, sep, hi = text.partition(":")
     try:
-        return range(int(lo), int(hi if sep else lo) + 1)
+        ns = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError as exc:
         raise ValidationError(f"--n must be an integer or a range 'lo:hi', got {text!r}") from exc
+    if not ns or ns.start < 1:
+        raise ValidationError(f"--n needs 1 <= lo <= hi, got {text!r}")
+    return ns
 
 
 def _cmd_bounds(args) -> tuple[dict, int]:
@@ -223,38 +226,22 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 
 def _cmd_witness(args) -> tuple[dict, int]:
     kind = args.construction
+    if kind in ("majority", "partition") and args.kind is None:
+        args.kind = kind
+    f = _colouring_from_args(args)
     if kind == "majority":
-        if args.n is None or args.t is None or args.k is None:
-            raise ValidationError("majority witness needs --n, --t, --k")
-        f = make(ColouringSpec(kind="majority", n=args.n, t=args.t, k=args.k, tie=args.tie))
-        result = majority_witness(args.n, args.t, args.k, f)
+        result = majority_witness(f.n, f.spec.t, f.spec.k, f)
     elif kind == "partition":
-        f = _colouring_from_args(args) if (args.colouring or args.kind) else None
-        if f is None:
-            if args.n is None or args.t is None or args.k is None:
-                raise ValidationError("partition witness needs a colouring or --n/--t/--k")
-            f = make(
-                ColouringSpec(
-                    kind="partition",
-                    n=args.n,
-                    t=args.t,
-                    k=args.k,
-                    partition=balanced_partition(args.n, args.t, args.k),
-                )
-            )
         result = partition_witness(f)
     elif kind == "zigzag":
-        f = _colouring_from_args(args)
         result = zigzag_witness(f, args.mode or "a")
     elif kind == "strip":
-        f = _colouring_from_args(args)
         mode = args.mode or "one_strip"
         reduced = strip_reduction(f, mode)
         inner_rep = winst_exact(reduced)
         inner = ConstructionResult(inner_rep.witness, inner_rep.value, "reduced winst witness")
         result = strip_extend(f, inner, mode)
     elif kind == "kdefined":
-        f = _colouring_from_args(args)
         if args.k is None:
             raise ValidationError("kdefined witness needs --k")
         result = kdefined_witness(f, args.k)
@@ -282,43 +269,32 @@ def _cmd_witness(args) -> tuple[dict, int]:
     return report, EXIT_OK if ok else EXIT_CLAIM_FAILED
 
 
-def _suite_majo(max_n: int, seed: int) -> list[dict]:
+def _optimality_verdicts(kind: str, grid, name: str) -> list[dict]:
+    """One inst = 2t+1 verdict per (n, t, k) of the grid, for the colouring of
+    that kind (partitions balanced); ``name`` is its claim text in t and k."""
     verdicts = []
-    for n, t, k in majority_grid(max_n):
-        f = make(ColouringSpec(kind="majority", n=n, t=t, k=k))
-        value = inst_exact(f).value
+    for n, t, k in grid:
+        partition = balanced_partition(n, t, k) if kind == "partition" else None
+        value = inst_exact(make(ColouringSpec(kind=kind, n=n, t=t, k=k, partition=partition))).value
         verdicts.append(
             {
-                "claim": f"inst(maj_{t}({k})) on H_{n} = {2 * t + 1}",
+                "claim": f"inst({name.format(t=t, k=k)}) on H_{n} = {2 * t + 1}",
                 "status": "pass" if value == 2 * t + 1 else "FAIL",
                 "value": value,
             }
         )
     return verdicts
+
+
+def _suite_majo(max_n: int, seed: int) -> list[dict]:
+    return _optimality_verdicts("majority", majority_grid(max_n), "maj_{t}({k})")
 
 
 def _suite_block(max_n: int, seed: int) -> list[dict]:
-    verdicts = []
-    for n, t, k in partition_grid(max_n):
-        f = make(
-            ColouringSpec(
-                kind="partition", n=n, t=t, k=k, partition=balanced_partition(n, t, k)
-            )
-        )
-        value = inst_exact(f).value
-        verdicts.append(
-            {
-                "claim": f"inst(b_{t}^{k}) on H_{n} = {2 * t + 1}",
-                "status": "pass" if value == 2 * t + 1 else "FAIL",
-                "value": value,
-            }
-        )
-    return verdicts
+    return _optimality_verdicts("partition", partition_grid(max_n), "b_{t}^{k}")
 
 
 def _suite_zigzag(max_n: int, seed: int, samples: int = 20) -> list[dict]:
-    from .bounds import zigzag_inst_formula, zigzag_winst_formula
-
     verdicts = []
     for n in range(3, max_n + 1):
         for t in range(1, (n - 1) // 2 + 1):
@@ -343,9 +319,6 @@ def _suite_zigzag(max_n: int, seed: int, samples: int = 20) -> list[dict]:
 
 
 def _suite_conjecture(max_n: int, seed: int) -> list[dict]:
-    from .colourings import free_point_codes
-    from .search import MAX_FREE_POINTS
-
     verdicts = []
     for n in range(2, max_n + 1):
         for t in range(0, (n - 1) // 2 + 1):
@@ -495,11 +468,11 @@ def write_report(report: dict, fmt: str, path: Optional[str]) -> None:
 
 def _add_colouring_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--colouring", help="colouring spec file (JSON)")
-    p.add_argument("--kind", choices=["majority", "partition", "aqj", "table", "constant"])
+    p.add_argument("--kind", choices=KINDS)
     p.add_argument("--n", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--tie", choices=["first-entry", "zero", "one"])
+    p.add_argument("--tie", choices=TIE_RULES)
     p.add_argument("--j", type=int, choices=[0, 1])
     p.add_argument("--s", type=int)
     p.add_argument("--partition", help="blocks as '4,5,6;7,8,9' (1-indexed)")

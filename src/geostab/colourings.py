@@ -94,20 +94,19 @@ class Colouring:
     def t_f(self) -> int:
         """Largest t whose balls the colouring respects; -1 when f(0^n)=1 or f(1^n)=0."""
         if self._t_f is None:
-            self._t_f = _radius_of_table(self._table, self.n)
+            self._t_f = int(radii(self._table[None], self.n)[0])
         return self._t_f
 
     def __repr__(self) -> str:
         return f"Colouring({self.spec.kind}, n={self.n})"
 
 
-def _radius_of_table(table: np.ndarray, n: int) -> int:
+def radii(tables: np.ndarray, n: int) -> np.ndarray:
+    """Radius t_f of every row of a (B, 2^n) colour-table batch, as int16: one
+    less than the least distance from a point to the pole of the other
+    colour, its weight if it is coloured 1 and n - weight if 0."""
     w = weights_vector(n).astype(np.int16)
-    ones = table == 1
-    zeros = ~ones
-    a = int(w[ones].min()) if ones.any() else n + 1
-    b = int((n - w[zeros]).min()) if zeros.any() else n + 1
-    return min(a, b) - 1
+    return np.where(tables == 1, w, n - w).min(axis=1) - 1
 
 
 def _require(cond: bool, message: str) -> None:
@@ -156,13 +155,9 @@ def _make_majority(spec: ColouringSpec) -> Colouring:
         tie = tie or "first-entry"
         _require(tie in TIE_RULES, f"tie must be one of {TIE_RULES}, got {tie!r}")
 
-    N = 1 << n
-    codes = np.arange(N, dtype=np.uint32)
+    codes = np.arange(1 << n, dtype=np.uint32)
     w = weights_vector(n).astype(np.int16)
-    kmask = (1 << k) - 1
-    prefix = np.zeros(N, dtype=np.int16)
-    for b in range(k):
-        prefix += ((codes >> b) & 1).astype(np.int16)
+    prefix = weights_vector(k)[codes & ((1 << k) - 1)]
     if k % 2 == 1:
         maj = (2 * prefix > k).astype(np.uint8)
     else:
@@ -241,11 +236,8 @@ def _make_partition(spec: ColouringSpec) -> Colouring:
             )
         _check_partition(blocks, set(range(k + 1, n + 1)), "b_t^k partition")
 
-    N = 1 << n
-    codes = np.arange(N, dtype=np.uint32)
-    prefix = np.zeros(N, dtype=np.int16)
-    for b in range(k):
-        prefix += ((codes >> b) & 1).astype(np.int16)
+    codes = np.arange(1 << n, dtype=np.uint32)
+    prefix = weights_vector(k)[codes & ((1 << k) - 1)]
     a0 = _aqj_table(n, 0, blocks)
     a1 = _aqj_table(n, 1, blocks)
     table = np.where(2 * prefix > k, a0, a1).astype(np.uint8)
@@ -288,17 +280,12 @@ def is_defined_by(f: Colouring, indices: Iterable[int]) -> bool:
     t = f.t_f
     if t == -1:
         raise UndefinedRadiusError("colouring has t_f = -1; no balls to exclude")
-    n = f.n
-    N = 1 << n
+    N = 1 << f.n
     mask = 0
     for i in idx:
         mask |= 1 << (i - 1)
-    w = weights_vector(n).astype(np.int16)
-    outside = (w > t) & (w < n - t)
-    if not outside.any():
-        return True
-    codes = np.arange(N, dtype=np.uint32)
-    keys = (codes[outside] & mask).astype(np.int64)
+    outside = free_point_codes(f.n, t)
+    keys = outside & mask
     cols = f.table()[outside]
     lo = np.ones(N, dtype=np.uint8)
     hi = np.zeros(N, dtype=np.uint8)
@@ -371,6 +358,15 @@ def free_point_codes(n: int, t: int) -> np.ndarray:
     return np.nonzero((w > t) & (w < n - t))[0].astype(np.int64)
 
 
+def tables_from_free_layers(n: int, t: int, bits: np.ndarray) -> np.ndarray:
+    """(B, 2^n) colour tables, canonical on the radius-t balls, from (B, F)
+    free-layer bits; column j of ``bits`` colours the j-th free point in
+    ascending code order."""
+    tables = np.repeat((weights_vector(n) >= n - t).astype(np.uint8)[None], len(bits), axis=0)
+    tables[:, free_point_codes(n, t)] = bits
+    return tables
+
+
 def table_from_free_layers(n: int, t: int, free_bits: Sequence[int] | np.ndarray) -> Colouring:
     """Table colouring with canonical radius-t balls and the given free-layer bits.
 
@@ -383,9 +379,7 @@ def table_from_free_layers(n: int, t: int, free_bits: Sequence[int] | np.ndarray
         bits.shape == free.shape,
         f"expected {len(free)} free bits for (n={n}, t={t}), got {len(bits)}",
     )
-    w = weights_vector(n).astype(np.int16)
-    table = np.where(w >= n - t, 1, 0).astype(np.uint8)
-    table[free] = bits
+    table = tables_from_free_layers(n, t, bits[None])[0]
     return make(ColouringSpec(kind="table", n=n, table=table.tobytes()))
 
 

@@ -189,8 +189,14 @@ def majority_witness(n: int, t: int, k: int, f: Colouring) -> ConstructionResult
 
     Built by the proof's recursion on k: the subcube fixing entry 1 = 0 and
     entry 2 = 1 carries maj_{t-1}(k-2), whose witness is extended by two
-    points at whichever end the colour of its first point dictates.
+    points at whichever end the colour of its first point dictates.  ``f``
+    must be a majority colouring; the guarantee covers the "first-entry" and
+    "one" tie rules of even k, and the "zero" rule is refused.
     """
+    if f.spec.kind != "majority":
+        raise ValidationError(f"expected a majority colouring, got kind {f.spec.kind!r}")
+    if f.spec.tie == "zero":
+        raise ValidationError("the majority witness does not cover the tie rule 'zero'")
     if not (0 < k <= 2 * t + 1 <= n):
         raise ValidationError(f"need 0 < k <= 2t+1 <= n, got k={k}, t={t}, n={n}")
     if f.n != n:

@@ -232,8 +232,18 @@ def inst_restricted(
     if start_colour is not None:
         starts = starts[table[starts] == start_colour]
     if end_colour is not None:
-        starts = starts[table[starts ^ ((1 << f.n) - 1)] == end_colour]
+        starts = starts[table[::-1][starts] == end_colour]
     return _best_start(f, starts, "m-geodesic", start_weight)
+
+
+def _well_ending_starts(tables: np.ndarray, n: int, t: int) -> np.ndarray:
+    """(B, 2^n) mask of the starts of well-ending (t+1)-geodesics.
+
+    A start qualifies when it has weight t+1 and is coloured 1 or its
+    complement, the geodesic's last point, is coloured 0.  The complement of
+    code s is 2^n - 1 - s, so the end colours are the columns reversed.
+    """
+    return (weights_vector(n) == t + 1) & ((tables == 1) | (tables[:, ::-1] == 0))
 
 
 def winst_exact(f: Colouring, cap: Optional[int] = None) -> InstabilityReport:
@@ -247,9 +257,7 @@ def winst_exact(f: Colouring, cap: Optional[int] = None) -> InstabilityReport:
     if t < 0:
         raise UndefinedRadiusError("winst is undefined for colourings with t_f = -1")
     _check_cap(f.n, cap)
-    table = f.table()
-    starts = np.nonzero(weights_vector(f.n) == t + 1)[0]
-    starts = starts[(table[starts] == 1) | (table[starts ^ ((1 << f.n) - 1)] == 0)]
+    starts = np.nonzero(_well_ending_starts(f.table()[None], f.n, t)[0])[0]
     if starts.size == 0:
         raise AssertionError(
             "a colouring with t_f >= 0 always admits a well-ending (t_f+1)-geodesic"
@@ -289,16 +297,8 @@ def inst_values_batch(tables: np.ndarray, n: int, cap: Optional[int] = None) -> 
 def winst_values_batch(
     tables: np.ndarray, n: int, t: int, cap: Optional[int] = None
 ) -> np.ndarray:
-    """winst(f) for every row; rows are assumed to respect the radius-t balls.
-
-    Because a geodesic ends at the complement of its start, both well-ending
-    disjuncts are start properties.
-    """
+    """winst(f) for every row; rows are assumed to respect the radius-t balls."""
     _check_cap(n, cap)
     top = _top_values(_dp_fill(tables, n))
-    w = weights_vector(n)
-    starts = np.nonzero(w == t + 1)[0]
-    comps = starts ^ ((1 << n) - 1)
-    admissible = (tables[:, starts] == 1) | (tables[:, comps] == 0)
-    vals = np.where(admissible, top[:, starts], np.int8(-1))
+    vals = np.where(_well_ending_starts(tables, n, t), top, np.int8(-1))
     return vals.max(axis=1).astype(np.int16)

@@ -25,12 +25,12 @@ kernels.
 The inst sweep minimises over every enumerated colouring (Problem-style
 "respects the balls"), and additionally reports the minimum over the
 colourings whose radius is exactly t.  The winst sweep keeps only radius-
-exactly-t colourings.  Both filters are orbit-invariant.  A sweep runs in
-one process (the public sweeps accept ``threads`` only as 1).  It scores
-the representatives in chunks and checkpoints its progress and the running
-minimum to a JSON file after every chunk, so long runs can resume; the
-result is independent of the chunking because minima are merged by
-(value, counter).
+exactly-t colourings.  Both filters take the radius from ``colourings.radii``
+and are orbit-invariant.  A sweep runs in one process (the public sweeps
+accept ``threads`` only as 1).  It scores the representatives in chunks and
+checkpoints its progress and the running minimum to a JSON file after every
+chunk, so long runs can resume; the result is independent of the chunking
+because minima are merged by (value, counter).
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ from .colourings import (
     ColouringSpec,
     _is_int,
     free_point_codes,
+    radii,
     table_from_free_layers,
+    tables_from_free_layers,
 )
 from .errors import CapacityError, ValidationError
-from .hypercube import weights_vector
 from .instability import _check_cap, inst_exact, inst_values_batch, winst_exact, winst_values_batch
 
 MAX_FREE_POINTS = 22
@@ -99,21 +100,9 @@ def _check_free_count(n: int, t: int) -> np.ndarray:
     return free
 
 
-def _base_table(n: int, t: int) -> np.ndarray:
-    w = weights_vector(n).astype(np.int16)
-    return np.where(w >= n - t, 1, 0).astype(np.uint8)
-
-
-def _exact_tf_layer_bits(n: int, t: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (within the free list) of the two layers adjacent to the balls.
-
-    A colouring has radius exactly t unless the weight-(t+1) free points are
-    all 0 and the weight-(n-t-1) free points are all 1.
-    """
-    w = weights_vector(n).astype(np.int16)
-    low = np.nonzero(w[free] == t + 1)[0]
-    high = np.nonzero(w[free] == n - t - 1)[0]
-    return low, high
+def _counter_bits(counters: np.ndarray, F: int) -> np.ndarray:
+    """(B, F) free-layer bits of the counters: bit j colours the j-th free point."""
+    return ((counters[:, None] >> np.arange(F)) & 1).astype(np.uint8)
 
 
 def _group(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,16 +182,9 @@ def _score(
     Returns the minimum over all of them (inst only, else None) and the
     minimum over those with radius exactly t.
     """
-    free = free_point_codes(n, t)
-    bits = ((counters[:, None] >> np.arange(len(free))) & 1).astype(np.uint8)
-    tables = np.repeat(_base_table(n, t)[None, :], len(counters), axis=0)
-    tables[:, free] = bits
-    # radius > t exactly when t+1 is respectable (n >= 2t+3) with the
-    # near layer all 0 and the far one all 1
-    exact = np.ones(len(counters), dtype=bool)
-    if n >= 2 * t + 3:
-        low_idx, high_idx = _exact_tf_layer_bits(n, t, free)
-        exact = bits[:, low_idx].any(axis=1) | ~bits[:, high_idx].all(axis=1)
+    bits = _counter_bits(counters, len(free_point_codes(n, t)))
+    tables = tables_from_free_layers(n, t, bits)
+    exact = radii(tables, n) == t
     if mode == "inst":
         values = inst_values_batch(tables, n)
         return _least(values, counters), _least(values[exact], counters[exact])
@@ -267,7 +249,8 @@ def _load_checkpoint(path: str, key: dict) -> Optional[dict]:
 
 def _resume_point(path: str, state: dict, reps: np.ndarray, sizes: np.ndarray) -> int:
     """Number of representatives a checkpoint has scored, after checking its
-    counts against the orbits recomputed for this sweep."""
+    counts against the orbits recomputed for this sweep and each of its minima
+    against a rescoring of its counter."""
     done = int(np.searchsorted(reps, state["next_counter"]))
     at_rep = done < len(reps) and reps[done] == state["next_counter"]
     if not (at_rep or (done == len(reps) and state["next_counter"] == 1 << state["F"])):
@@ -280,6 +263,21 @@ def _resume_point(path: str, state: dict, reps: np.ndarray, sizes: np.ndarray) -
             f"checkpoint {path}: {state['orbits_scanned']} orbits covering {state['scanned']} "
             f"colourings, but the {done} orbits below next_counter cover {covered}"
         )
+    # only an inst sweep that has scored an orbit has an unfiltered minimum
+    if (state["best"] is None) == (state["mode"] == "inst" and done > 0):
+        raise ValidationError(
+            f"checkpoint {path}: best={state['best']!r} after {done} {state['mode']} orbits"
+        )
+    for i, name in enumerate(("best", "best_exact")):
+        if state[name] is None:
+            continue
+        at = int(np.searchsorted(reps, state[name][1]))
+        if not (at < done and reps[at] == state[name][1]
+                and _score(state["n"], state["t"], state["mode"], reps[at:at + 1])[i] == state[name]):
+            raise ValidationError(
+                f"checkpoint {path}: {name}={list(state[name])} is not the rescored value of a "
+                "scored representative" + (f" of radius exactly {state['t']}" if i else "")
+            )
     return done
 
 
@@ -294,9 +292,8 @@ def _save_checkpoint(path: str, state: dict) -> None:
 
 
 def _colouring_from_counter(n: int, t: int, counter: int) -> Colouring:
-    free = free_point_codes(n, t)
-    bits = [(counter >> j) & 1 for j in range(len(free))]
-    return table_from_free_layers(n, t, bits)
+    F = len(free_point_codes(n, t))
+    return table_from_free_layers(n, t, _counter_bits(np.array([counter]), F)[0])
 
 
 def _check_argmin(argmin: Colouring, value: int, mode: str) -> None:

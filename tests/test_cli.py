@@ -43,6 +43,55 @@ def test_winst_inline(capsys):
     assert report["outputs"]["t_used"] == 2
 
 
+_MAJ_7_2_4 = {"kind": "majority", "n": 7, "t": 2, "k": 4, "tie": "one"}
+
+
+@pytest.mark.parametrize(
+    "args, colouring",
+    [
+        (["--construction", "majority", "--n", "6", "--t", "2", "--k", "3"],
+         {"kind": "majority", "n": 6, "t": 2, "k": 3}),
+        (["--construction", "majority", "--colouring", "SPEC"], _MAJ_7_2_4),
+        (["--construction", "partition", "--n", "6", "--t", "2", "--k", "3"],
+         {"kind": "partition", "n": 6, "t": 2, "k": 3, "partition": [[4, 5, 6]]}),
+        (["--construction", "partition", "--n", "8", "--t", "2", "--k", "1",
+          "--partition", "2,4,6;3,5,7,8"],
+         {"kind": "partition", "n": 8, "t": 2, "k": 1, "partition": [[2, 4, 6], [3, 5, 7, 8]]}),
+        (["--construction", "zigzag", "--mode", "a", "--kind", "majority",
+          "--n", "7", "--t", "2", "--k", "5"], None),
+        (["--construction", "zigzag", "--mode", "b", "--kind", "majority",
+          "--n", "7", "--t", "2", "--k", "5"], None),
+        (["--construction", "strip", "--mode", "one_strip", "--kind", "majority",
+          "--n", "8", "--t", "3", "--k", "7"], None),
+        (["--construction", "strip", "--mode", "multi_strip", "--kind", "majority",
+          "--n", "9", "--t", "3", "--k", "7"], None),
+        (["--construction", "kdefined", "--kind", "majority", "--n", "7", "--t", "2", "--k", "1"],
+         None),
+    ],
+)
+def test_witness_constructions(tmp_path, capsys, args, colouring):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_MAJ_7_2_4))
+    args = [str(spec) if a == "SPEC" else a for a in args]
+    code, report = run_json(["witness", *args], capsys)
+    assert code == 0
+    assert report["outputs"]["witness_valid"] is True
+    assert report["outputs"]["actual_jumps"] >= report["outputs"]["guaranteed_jumps"]
+    if colouring is not None:
+        assert report["inputs"]["colouring"] == colouring
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--construction", "majority", "--n", "5", "--t", "1", "--k", "2", "--tie", "zero"],
+        ["--construction", "majority", "--kind", "partition", "--n", "6", "--t", "2", "--k", "3"],
+    ],
+)
+def test_witness_refusals_exit_2(capsys, args):
+    _assert_refused(main(["witness", *args]), capsys)
+
+
 def test_witness_report_revalidates_on_reload(capsys):
     code, report = run_json(
         ["witness", "--construction", "majority", "--n", "6", "--t", "2", "--k", "3"],
@@ -202,16 +251,18 @@ def test_search_and_conjecture_report_orbits(capsys):
         '"best": null, "best_exact": null}',  # legacy, no version
         '{"version": 2, "n": 4, "t": 1, "mode": "inst", "F": 6, "next_counter": 65, '
         '"orbits_scanned": 0, "scanned": 0, "best": null, "best_exact": null}',
+        # three of the seven orbits scored, with forged minima
+        '{"version": 2, "n": 4, "t": 1, "mode": "inst", "F": 6, "next_counter": 7, '
+        '"orbits_scanned": 3, "scanned": 38, "best": [-1, 0], "best_exact": [4, 0]}',
+        '{"version": 2, "n": 4, "t": 1, "mode": "inst", "F": 6, "next_counter": 7, '
+        '"orbits_scanned": 3, "scanned": 38, "best": null, "best_exact": [4, 0]}',
     ],
 )
 def test_search_resume_refuses_bad_checkpoint(tmp_path, capsys, content):
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text(content)
-    code = main(["search", "--n", "4", "--t", "1", "--resume", str(ckpt)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
-    assert "checkpoint" in captured.err
+    err = _assert_refused(main(["search", "--n", "4", "--t", "1", "--resume", str(ckpt)]), capsys)
+    assert "checkpoint" in err
 
 
 def _assert_refused(code, capsys, expected=2):
@@ -287,6 +338,6 @@ def test_spec_file_non_integer_fields_exit_2(tmp_path, capsys, fields):
     _assert_refused(main(["inst", "--colouring", str(spec)]), capsys)
 
 
-@pytest.mark.parametrize("n_arg", ["3:x", "x", "3:", ":4", "1:2:3", "3.5"])
+@pytest.mark.parametrize("n_arg", ["3:x", "x", "3:", ":4", "1:2:3", "3.5", "3:1", "0", "-4"])
 def test_bounds_malformed_n_exit_2(capsys, n_arg):
     _assert_refused(main(["bounds", "--n", n_arg]), capsys)

@@ -134,11 +134,16 @@ def test_majority_witness_examples():
     assert f.evaluate(pts[-1]) == 0
 
 
-def test_majority_witness_grid():
+@pytest.mark.parametrize("tie", ["first-entry", "one", "zero"])
+def test_majority_witness_grid(tie):
     for t in range(0, 4):
         for k in range(1, 2 * t + 2):
             for n in range(max(2 * t + 1, k), 9):
-                f = maj(n, t, k)
+                f = maj(n, t, k, tie=None if k % 2 else tie)
+                if f.spec.tie == "zero":
+                    with pytest.raises(ValidationError, match="tie rule"):
+                        majority_witness(n, t, k, f)
+                    continue
                 res = majority_witness(n, t, k, f)
                 pts, _ = _check(f, res, min_jumps=2 * t + 1)
                 assert weight(pts[0]) == t + 1

@@ -1,5 +1,6 @@
 """Exhaustive sweeps, their symmetry reduction, checkpointing, and the random colouring generator."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -83,11 +84,13 @@ def test_winst_relay_inequality_at_small_sizes():
     assert winst_min <= min_inst_exhaustive(n, t).minimum
 
 
-def _partial_checkpoint(n, t, mode):
-    """A v2 checkpoint that has scored the first half of the orbit representatives."""
+def _partial_checkpoint(n, t, mode, done=None):
+    """The v2 checkpoint of a sweep that has scored the first ``done`` orbit
+    representatives, by default half of them."""
     free = free_point_codes(n, t)
     reps, sizes = search._orbits(n, free)
-    done = len(reps) // 2
+    done = len(reps) // 2 if done is None else done
+    best, best_exact = search._score(n, t, mode, reps[:done])
     return {
         "version": 2,
         "n": n,
@@ -97,8 +100,8 @@ def _partial_checkpoint(n, t, mode):
         "next_counter": int(reps[done]),
         "orbits_scanned": done,
         "scanned": int(sizes[:done].sum()),
-        "best": [3, 0],  # deliberately poor running best from the "done" prefix
-        "best_exact": [3, 0],
+        "best": best and list(best),
+        "best_exact": best_exact and list(best_exact),
     }
 
 
@@ -110,9 +113,8 @@ def test_checkpoint_resume(tmp_path):
     with open(path, "w") as fh:
         json.dump(state, fh)
     resumed = min_inst_exhaustive(4, 0, checkpoint_path=path)
-    assert resumed.minimum == min(3, full.minimum)
+    assert dataclasses.replace(resumed, elapsed=0) == dataclasses.replace(full, elapsed=0)
     assert resumed.colourings_scanned == 1 << 14
-    assert resumed.orbits_scanned == full.orbits_scanned
     with open(path) as fh:
         final = json.load(fh)
     assert (final["next_counter"], final["scanned"]) == (1 << 14, 1 << 14)
@@ -153,17 +155,30 @@ _DROP = object()
         {"orbits_scanned": 3},
         {"best": [3, 1 << 14]},
         {"best_exact": "3,0"},
+        # each minimum must be a scored representative's own value; "sweep"
+        # and "done" pick the partial checkpoint the change is applied to
+        {"best": None},
+        {"best": [-1, 0]},
+        {"best_exact": [3, 0]},  # counter 0 scores 2
+        {"best": [2, 2]},  # counter 2 is not a representative
+        {"best": [4, 1100]},  # a representative above next_counter 1099
+        {"sweep": "winst", "best": [2, 0]},
+        {"done": 512, "best_exact": [4, 13376]},  # counter 13376 has radius 1
     ],
 )
 def test_checkpoint_refused(tmp_path, change):
+    mode = "inst"
     if isinstance(change, dict):
-        state = _partial_checkpoint(4, 0, "inst")
+        change = dict(change)
+        mode = change.pop("sweep", mode)
+        state = _partial_checkpoint(4, 0, mode, change.pop("done", None))
         state.update(change)
         change = json.dumps({k: v for k, v in state.items() if v is not _DROP})
     path = tmp_path / "sweep.json"
     path.write_text(change)
+    runner = min_inst_exhaustive if mode == "inst" else min_winst_exhaustive
     with pytest.raises(ValidationError):
-        min_inst_exhaustive(4, 0, checkpoint_path=str(path))
+        runner(4, 0, checkpoint_path=str(path))
 
 
 def _tables_of(n, t, counters):
