@@ -368,6 +368,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
     if args.suite not in _SUITES:
         raise ValidationError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}")
     verdicts = _SUITES[args.suite](args.max_n, args.seed)
+    if not verdicts:
+        raise ValidationError(f"suite {args.suite} checks nothing with --max-n {args.max_n}")
     failed = [v for v in verdicts if v["status"] != "pass"]
     report = {
         "inputs": {"suite": args.suite, "max_n": args.max_n, "seed": args.seed},

@@ -9,13 +9,14 @@ future jumps, the recurrence maximises over i in S of
 and the answer is the maximum of g(x, full set) over admissible starts.
 The table is indexed by (S, z) with z = x XOR S, the point the geodesic
 will end at.  Flipping bit i changes x and S together and leaves z alone,
-so every predecessor state sits in the same column of another row: a row
-is filled from whole rows, with one gather of the colours per row.  Each
-entry stores 2*g(x, S) + f(x); the colour in the low bit turns the jump
-into a parity.  Subsets are visited in ascending integer code, so every
-subset is finished before any of its supersets.  One table of 4^n bytes
-serves every engine: since a geodesic from s ends at the complement of s,
-an end-colour constraint is a filter on the starts.
+so every predecessor state sits in the same column of another row: each
+column is its own DP, and a query fills only the columns of the ends it
+reads.  Each entry stores 2*g(x, S) + f(x); the colour in the low bit
+turns the jump into a parity.  Rows are filled one popcount layer at a
+time, in blocks of rows.  A geodesic from s ends at ~s, so start and end
+constraints filter the starts, and its reversal, from ~s, has the same
+jumps: inst fills the ends of the starts below 2^(n-1), 4^n/2 bytes, and
+winst those of the well-ending starts, at most 2^n * C(n, t+1) bytes.
 
 A literal brute-force enumerator over all starts and flip permutations is
 kept as an independent oracle for cross-checking at tiny dimensions.
@@ -37,6 +38,7 @@ from .hypercube import Geodesic, Point, weights_vector
 
 DEFAULT_MAX_N = 13
 _BRUTEFORCE_MAX_N = 6
+_BLOCK_BYTES = 1 << 18  # per block of rows: its predecessor rows and colours
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,8 @@ def dimension_cap(explicit: Optional[int] = None) -> int:
     """Engine dimension cap: explicit argument, else GEOSTAB_MAX_N, else 13.
 
     Passing ``cap`` explicitly (or setting the environment variable) is the
-    acknowledgement that a 4^n-byte table fits in memory.
+    acknowledgement that the DP table fits in memory: 4^n/2 bytes for inst,
+    at most 2^n * C(n, t+1) bytes for winst at radius t.
     """
     if explicit is not None:
         return explicit
@@ -102,19 +105,19 @@ def jumps_of_path(f: Colouring, seq: Sequence[Point]) -> PathReport:
 
 
 @lru_cache(maxsize=None)
-def _predecessor_rows(n: int) -> tuple[np.ndarray, ...]:
-    """For each subset S, the rows S without i, one per i in S, ascending i:
-    views into one flat array."""
-    subsets = np.arange(1 << n, dtype=np.intp)[:, None]
+def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """For each popcount k = 1..n, the subsets S of size k in ascending code
+    and their (C(n,k), k) predecessors S without i, one per i in S ascending."""
+    subsets = np.arange(1 << n, dtype=np.intp)
     bits = 1 << np.arange(n, dtype=np.intp)
-    member = (subsets & bits) != 0
-    flat = (subsets ^ bits)[member]
-    ends = np.cumsum(member.sum(axis=1)).tolist()
-    return tuple(flat[a:b] for a, b in zip([0] + ends, ends))
+    member = (subsets[:, None] & bits) != 0
+    layers = [subsets[member.sum(axis=1) == k] for k in range(1, n + 1)]
+    return tuple((S, (S[:, None] ^ bits)[member[S]].reshape(len(S), -1)) for S in layers)
 
 
-def _dp_fill(tables: np.ndarray, n: int) -> np.ndarray:
-    """Q[S, z, b] = 2*g(z^S, S) + f_b(z^S) for a (B, 2^n) colour-table batch.
+def _dp_fill(tables: np.ndarray, n: int, ends: np.ndarray) -> np.ndarray:
+    """Q[S, j, b] = 2*g(z^S, S) + f_b(z^S) with z = ends[j], for a (B, 2^n)
+    colour-table batch and ascending, distinct end points ``ends``.
 
     The predecessor of state (x, S) through bit i is (x^e_i, S^e_i), which
     is column z of row S^e_i.  Xor-ing in f(x) leaves 2*g + jump; rounding
@@ -125,50 +128,55 @@ def _dp_fill(tables: np.ndarray, n: int) -> np.ndarray:
     if N != 1 << n:
         raise ValidationError(f"tables must have 2^{n} columns, got {N}")
     T = np.ascontiguousarray(tables.T, dtype=np.int8)
-    Q = np.empty((N, N, B), dtype=np.int8)
-    Q[0] = T
+    Q = np.empty((N, len(ends), B), dtype=np.int8)
+    Q[0] = T[ends]
     # The colours f(z^S) of row S, with z split into high and low halves:
-    # A[s] holds every point's colour with its low half xor-ed by s, so a
-    # row needs only a gather of whole blocks of A[S_low] by z_high^S_high.
-    # Every take index is in range; mode="clip" spares the buffered copy
-    # of ``out`` that the default mode="raise" makes.
+    # A[s, h] is block h of the colours with the low half xor-ed by s, so a
+    # row gathers the blocks A[S_low, h^S_high] for the distinct high halves
+    # h of ``ends``, then selects the columns of ``ends`` unless they are
+    # those whole blocks.
     l = n // 2
     L, H = 1 << l, N >> l
     A = np.empty((L, H, L, B), dtype=np.int8)
     for s in range(L):
         T.reshape(H, L, B).take(np.arange(L) ^ s, axis=1, out=A[s], mode="clip")
-    high = np.arange(H)
-    idx = np.empty_like(high)
-    P = np.empty((N, B), dtype=np.int8)
-    buf = np.empty((n, N, B), dtype=np.int8)
-    for S, preds in enumerate(_predecessor_rows(n)[1:], start=1):
-        np.bitwise_xor(high, S >> l, out=idx)
-        A[S & (L - 1)].take(idx, axis=0, out=P.reshape(H, L, B), mode="clip")
-        X = buf[: len(preds)]
-        Q.take(preds, axis=0, out=X, mode="clip")
-        X ^= P
-        row = Q[S]
-        np.maximum.reduce(X, axis=0, out=row)
-        row += 1
-        row &= -2
-        row += P
+    A = A.reshape(L * H, L, B)
+    high, rank = np.unique(ends >> l, return_inverse=True)
+    cols = None if len(ends) == len(high) * L else rank * L + (ends & (L - 1))
+    for subsets, preds in _layers(n):
+        k = preds.shape[1]
+        rows = max(1, _BLOCK_BYTES // max(1, (k * len(ends) + len(high) * L) * B))
+        blocks = (subsets & (L - 1))[:, None] * H + (high ^ (subsets >> l)[:, None])
+        for a in range(0, len(subsets), rows):
+            S = subsets[a:a + rows]
+            P = A.take(blocks[a:a + rows], axis=0).reshape(len(S), -1, B)
+            if cols is not None:
+                P = P.take(cols, axis=1)
+            X = Q.take(preds[a:a + rows], axis=0)
+            X ^= P[:, None]
+            row = X.max(axis=1)
+            row += 1
+            row &= -2
+            row += P
+            Q[S] = row
     return Q
 
 
-def _top_values(Q: np.ndarray) -> np.ndarray:
-    """g(x, full set) as a (B, 2^n) array indexed by batch row and start x."""
-    return (Q[-1] >> 1)[::-1].T
+def _start_values(tables: np.ndarray, n: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table filled for the ends 2^n - 1 - s of the ascending ``starts``,
+    whose columns are the starts reversed, and g(s, full set) as (B, starts)."""
+    Q = _dp_fill(tables, n, ((1 << n) - 1 - starts)[::-1])
+    return Q, (Q[-1] >> 1)[::-1].T
 
 
-def _reconstruct(Q: np.ndarray, table: np.ndarray, n: int, start: int) -> tuple[int, ...]:
-    """Greedy re-descent through a finished table; smallest coordinate first,
-    which yields the lexicographically least optimal flip order.  The end
-    point z = start^full is fixed along the whole descent."""
+def _reconstruct(column: np.ndarray, table: np.ndarray, n: int, start: int) -> tuple[int, ...]:
+    """Greedy re-descent through the filled table ``column`` of the end point
+    start^full, which is fixed along the whole descent; smallest coordinate
+    first, which yields the lexicographically least optimal flip order."""
     order = []
     S = (1 << n) - 1
     x = start
-    z = start ^ S
-    g = Q[:, z, 0] >> 1
+    g = column >> 1
     for _ in range(n):
         target = int(g[S])
         for i in range(n):
@@ -194,22 +202,24 @@ def _best_start(
     if starts.size == 0:
         return InstabilityReport(mode=mode, value=None, witness=None, t_used=t_used)
     table = f.table()
-    Q = _dp_fill(table[None], f.n)
-    vals = _top_values(Q)[0][starts]
-    start = int(starts[int(np.argmax(vals))])
-    order = _reconstruct(Q, table, f.n, start)
+    Q, top = _start_values(table[None], f.n, starts)
+    i = int(np.argmax(top[0]))
+    order = _reconstruct(Q[:, len(starts) - 1 - i, 0], table, f.n, int(starts[i]))
     return InstabilityReport(
         mode=mode,
-        value=int(vals.max()),
-        witness=Geodesic(Point(f.n, start), order),
+        value=int(top[0, i]),
+        witness=Geodesic(Point(f.n, int(starts[i])), order),
         t_used=t_used,
     )
 
 
 def inst_exact(f: Colouring, cap: Optional[int] = None) -> InstabilityReport:
-    """Exact inst(f): maximum jumps over all 2^n * n! geodesics, with witness."""
+    """Exact inst(f): maximum jumps over all 2^n * n! geodesics, with witness.
+
+    A geodesic's reversal starts at ~s with the same jumps, so the least
+    maximal start is below 2^(n-1)."""
     _check_cap(f.n, cap)
-    return _best_start(f, np.arange(1 << f.n), "inst", None)
+    return _best_start(f, np.arange(1 << (f.n - 1)), "inst", None)
 
 
 def inst_restricted(
@@ -236,14 +246,12 @@ def inst_restricted(
     return _best_start(f, starts, "m-geodesic", start_weight)
 
 
-def _well_ending_starts(tables: np.ndarray, n: int, t: int) -> np.ndarray:
-    """(B, 2^n) mask of the starts of well-ending (t+1)-geodesics.
-
-    A start qualifies when it has weight t+1 and is coloured 1 or its
-    complement, the geodesic's last point, is coloured 0.  The complement of
-    code s is 2^n - 1 - s, so the end colours are the columns reversed.
-    """
-    return (weights_vector(n) == t + 1) & ((tables == 1) | (tables[:, ::-1] == 0))
+def _well_ending_starts(tables: np.ndarray, n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-(t+1) starts, ascending, and the (B, C(n, t+1)) mask of
+    those that start a well-ending (t+1)-geodesic: coloured 1, or with the
+    complement 2^n - 1 - s, the geodesic's last point, coloured 0."""
+    starts = np.nonzero(weights_vector(n) == t + 1)[0]
+    return starts, (tables[:, starts] == 1) | (tables[:, (1 << n) - 1 - starts] == 0)
 
 
 def winst_exact(f: Colouring, cap: Optional[int] = None) -> InstabilityReport:
@@ -257,7 +265,8 @@ def winst_exact(f: Colouring, cap: Optional[int] = None) -> InstabilityReport:
     if t < 0:
         raise UndefinedRadiusError("winst is undefined for colourings with t_f = -1")
     _check_cap(f.n, cap)
-    starts = np.nonzero(_well_ending_starts(f.table()[None], f.n, t)[0])[0]
+    starts, ok = _well_ending_starts(f.table()[None], f.n, t)
+    starts = starts[ok[0]]
     if starts.size == 0:
         raise AssertionError(
             "a colouring with t_f >= 0 always admits a well-ending (t_f+1)-geodesic"
@@ -291,7 +300,7 @@ def inst_bruteforce(f: Colouring) -> int:
 def inst_values_batch(tables: np.ndarray, n: int, cap: Optional[int] = None) -> np.ndarray:
     """inst(f) for every row of a (B, 2^n) colour-table batch."""
     _check_cap(n, cap)
-    return _top_values(_dp_fill(tables, n)).max(axis=1).astype(np.int16)
+    return _start_values(tables, n, np.arange(1 << (n - 1)))[1].max(axis=1).astype(np.int16)
 
 
 def winst_values_batch(
@@ -299,6 +308,6 @@ def winst_values_batch(
 ) -> np.ndarray:
     """winst(f) for every row; rows are assumed to respect the radius-t balls."""
     _check_cap(n, cap)
-    top = _top_values(_dp_fill(tables, n))
-    vals = np.where(_well_ending_starts(tables, n, t), top, np.int8(-1))
+    starts, ok = _well_ending_starts(tables, n, t)
+    vals = np.where(ok, _start_values(tables, n, starts)[1], np.int8(-1))
     return vals.max(axis=1).astype(np.int16)

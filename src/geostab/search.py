@@ -30,7 +30,9 @@ and are orbit-invariant.  A sweep runs in one process (the public sweeps
 accept ``threads`` only as 1).  It scores the representatives in chunks and
 checkpoints its progress and the running minimum to a JSON file after every
 chunk, so long runs can resume; the result is independent of the chunking
-because minima are merged by (value, counter).
+because minima are merged by (value, counter).  A resumed sweep rescores
+the representatives its checkpoint has scored and refuses the checkpoint
+unless its minima are theirs.
 """
 
 from __future__ import annotations
@@ -247,10 +249,12 @@ def _load_checkpoint(path: str, key: dict) -> Optional[dict]:
     return state
 
 
-def _resume_point(path: str, state: dict, reps: np.ndarray, sizes: np.ndarray) -> int:
+def _resume_point(
+    path: str, state: dict, reps: np.ndarray, sizes: np.ndarray, batch_size: int
+) -> int:
     """Number of representatives a checkpoint has scored, after checking its
-    counts against the orbits recomputed for this sweep and each of its minima
-    against a rescoring of its counter."""
+    counts against the orbits recomputed for this sweep and its minima
+    against a rescoring of the representatives it has scored."""
     done = int(np.searchsorted(reps, state["next_counter"]))
     at_rep = done < len(reps) and reps[done] == state["next_counter"]
     if not (at_rep or (done == len(reps) and state["next_counter"] == 1 << state["F"])):
@@ -263,21 +267,17 @@ def _resume_point(path: str, state: dict, reps: np.ndarray, sizes: np.ndarray) -
             f"checkpoint {path}: {state['orbits_scanned']} orbits covering {state['scanned']} "
             f"colourings, but the {done} orbits below next_counter cover {covered}"
         )
-    # only an inst sweep that has scored an orbit has an unfiltered minimum
-    if (state["best"] is None) == (state["mode"] == "inst" and done > 0):
+    best = best_exact = None
+    for i in range(0, done, batch_size):
+        chunk_best, chunk_exact = _score(state["n"], state["t"], state["mode"],
+                                         reps[i:min(i + batch_size, done)])
+        best, best_exact = _merge(best, chunk_best), _merge(best_exact, chunk_exact)
+    if (best, best_exact) != (state["best"], state["best_exact"]):
         raise ValidationError(
-            f"checkpoint {path}: best={state['best']!r} after {done} {state['mode']} orbits"
+            f"checkpoint {path}: best, best_exact = "
+            f"{json.dumps([state['best'], state['best_exact']])}, but the {done} scored "
+            f"representatives rescore to {json.dumps([best, best_exact])}"
         )
-    for i, name in enumerate(("best", "best_exact")):
-        if state[name] is None:
-            continue
-        at = int(np.searchsorted(reps, state[name][1]))
-        if not (at < done and reps[at] == state[name][1]
-                and _score(state["n"], state["t"], state["mode"], reps[at:at + 1])[i] == state[name]):
-            raise ValidationError(
-                f"checkpoint {path}: {name}={list(state[name])} is not the rescored value of a "
-                "scored representative" + (f" of radius exactly {state['t']}" if i else "")
-            )
     return done
 
 
@@ -328,7 +328,7 @@ def _run_sweep(
     best: Optional[tuple[int, int]] = None  # (value, counter), inst: unfiltered
     best_exact: Optional[tuple[int, int]] = None
     if state is not None:
-        done = _resume_point(checkpoint_path, state, reps, sizes)
+        done = _resume_point(checkpoint_path, state, reps, sizes, batch_size)
         best, best_exact = state["best"], state["best_exact"]
 
     for i in range(done, len(reps), batch_size):

@@ -265,6 +265,29 @@ def test_search_resume_refuses_bad_checkpoint(tmp_path, capsys, content):
     assert "checkpoint" in err
 
 
+def test_search_resume_refuses_checkpoint_with_forged_minimum(tmp_path, capsys):
+    # a finished (5,1) sweep whose best is a scored representative of value 5,
+    # where the true minimum is 3
+    ckpt = tmp_path / "ckpt.json"
+    code, report = run_json(["search", "--n", "5", "--t", "1", "--resume", str(ckpt)], capsys)
+    assert code == 0 and report["outputs"]["minimum"] == 3
+    state = json.loads(ckpt.read_text())
+    state["best"] = [5, 1]
+    ckpt.write_text(json.dumps(state))
+    err = _assert_refused(main(["search", "--n", "5", "--t", "1", "--resume", str(ckpt)]), capsys)
+    assert "rescore" in err
+
+
+@pytest.mark.parametrize(
+    "suite, max_n",
+    [("majo", 0), ("block", 0), ("zigzag", 0), ("conjecture", 0), ("oracle", 0),
+     ("zigzag", 2), ("oracle", 2)],
+)
+def test_verify_that_checks_nothing_exit_2(capsys, suite, max_n):
+    err = _assert_refused(main(["verify", "--suite", suite, "--max-n", str(max_n)]), capsys)
+    assert suite in err and f"--max-n {max_n}" in err
+
+
 def _assert_refused(code, capsys, expected=2):
     captured = capsys.readouterr()
     assert code == expected and captured.out == ""

@@ -1,6 +1,7 @@
 """Exact engines against literal enumeration oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,15 @@ from geostab.colourings import (
     table_from_free_layers,
 )
 from geostab.errors import CapacityError, UndefinedRadiusError, ValidationError
-from geostab.hypercube import Geodesic, Point, expand, is_geodesic, reverse, weight
+from geostab.hypercube import (
+    Geodesic,
+    Point,
+    expand,
+    is_geodesic,
+    reverse,
+    weight,
+    weights_vector,
+)
 from geostab.instability import (
     inst_bruteforce,
     inst_exact,
@@ -22,6 +31,7 @@ from geostab.instability import (
     winst_exact,
     winst_values_batch,
 )
+from geostab.search import random_colouring
 
 
 def maj(n, t, k):
@@ -267,20 +277,67 @@ def test_reference_fill_top_row_matches_engines(B):
             assert rep.value == top[b].max() and rep.witness.start.code == top[b].argmax()
 
 
+def _column_sets(n):
+    """Ascending end-point sets the kernel is checked on: all columns, the
+    upper half (inst's), one weight layer (winst's), a seeded random subset
+    and a single column."""
+    N = 1 << n
+    rng = np.random.default_rng(70 + n)
+    return {
+        "all": np.arange(N),
+        "upper half": np.arange(N // 2, N),
+        "weight layer": np.nonzero(weights_vector(n) == n // 2)[0],
+        "random": np.sort(rng.choice(N, size=max(1, N // 3), replace=False)),
+        "single": np.array([rng.integers(N)]),
+    }
+
+
 @pytest.mark.parametrize("B", [1, 7])
 def test_relabelled_fill_matches_reference_recurrence(B):
-    # the kernel stores row S, column z = x^S as 2*g(x, S) + f(x)
+    # the kernel stores row S, column j as 2*g(x, S) + f(x) with x = ends[j]^S
     from geostab.instability import _dp_fill
 
     for n in range(1, 9):
         N = 1 << n
         tables = _seeded_tables(B, n)
         G = _reference_fill(tables, n)
-        Q = _dp_fill(tables, n)
-        assert Q.shape == (N, N, B)
-        x = np.arange(N)
-        for S in range(N):
-            assert (Q[S][x ^ S].T == 2 * G[S] + tables).all()
+        for name, ends in _column_sets(n).items():
+            Q = _dp_fill(tables, n, ends)
+            assert Q.shape == (N, len(ends), B), name
+            for S in range(N):
+                x = ends ^ S
+                assert (Q[S].T == 2 * G[S][:, x] + tables[:, x]).all(), (n, name, S)
+
+
+@pytest.mark.parametrize("B", [1, 7])
+def test_geodesic_reversal_gives_complementary_starts_one_value(B):
+    # reversing a geodesic from s gives one from ~s with the same jumps, which
+    # is why inst fills only the ends of the starts below 2^(n-1)
+    from geostab.instability import _dp_fill
+
+    for n in range(1, 9):
+        N = 1 << n
+        tables = _seeded_tables(B, n)
+        top = _dp_fill(tables, n, np.arange(N))[-1] >> 1  # indexed by end ~s
+        assert (top == top[::-1]).all()
+
+
+@pytest.mark.parametrize(
+    "engine, bound",
+    [(inst_exact, 0.6 * 4**12), (winst_exact, 4**12 / 8)],
+    ids=["inst", "winst"],
+)
+def test_engine_memory_is_the_columns_it_reads(engine, bound):
+    # inst fills 2^n/2 columns, winst at most C(12, 3) = 220 of 4096
+    f = random_colouring(12, 2, seed=3, exact_tf=True)
+    engine(f)  # the layer tables are cached on the first call
+    tracemalloc.start()
+    try:
+        engine(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def _lex_least_optimal(f, admissible):

@@ -164,6 +164,8 @@ _DROP = object()
         {"best": [4, 1100]},  # a representative above next_counter 1099
         {"sweep": "winst", "best": [2, 0]},
         {"done": 512, "best_exact": [4, 13376]},  # counter 13376 has radius 1
+        # counter 3 is a scored representative of value 4, not the minimum 2
+        {"best": [4, 3]},
     ],
 )
 def test_checkpoint_refused(tmp_path, change):
