@@ -177,6 +177,11 @@ def _bounds_output(n: int, t: int) -> dict:
     }
 
 
+def _verdict(claim: str, ok: bool, **extra) -> dict:
+    """One checked claim of a report, "pass" or "FAIL", with its extra fields."""
+    return {"claim": claim, "status": "pass" if ok else "FAIL", **extra}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -259,12 +264,7 @@ def _cmd_witness(args) -> tuple[dict, int]:
             "notes": result.notes,
             **entry,
         },
-        "verdicts": [
-            {
-                "claim": "construction achieves its guaranteed jump count",
-                "status": "pass" if ok else "FAIL",
-            }
-        ],
+        "verdicts": [_verdict("construction achieves its guaranteed jump count", ok)],
     }
     return report, EXIT_OK if ok else EXIT_CLAIM_FAILED
 
@@ -276,13 +276,8 @@ def _optimality_verdicts(kind: str, grid, name: str) -> list[dict]:
     for n, t, k in grid:
         partition = balanced_partition(n, t, k) if kind == "partition" else None
         value = inst_exact(make(ColouringSpec(kind=kind, n=n, t=t, k=k, partition=partition))).value
-        verdicts.append(
-            {
-                "claim": f"inst({name.format(t=t, k=k)}) on H_{n} = {2 * t + 1}",
-                "status": "pass" if value == 2 * t + 1 else "FAIL",
-                "value": value,
-            }
-        )
+        verdicts.append(_verdict(f"inst({name.format(t=t, k=k)}) on H_{n} = {2 * t + 1}",
+                                 value == 2 * t + 1, value=value))
     return verdicts
 
 
@@ -310,10 +305,7 @@ def _suite_zigzag(max_n: int, seed: int, samples: int = 20) -> list[dict]:
                     if construction_jumps(f, res) < res.guaranteed_jumps:
                         ok = False
             verdicts.append(
-                {
-                    "claim": f"zig-zag bounds and witnesses at (n={n}, t={t}), {samples} samples",
-                    "status": "pass" if ok else "FAIL",
-                }
+                _verdict(f"zig-zag bounds and witnesses at (n={n}, t={t}), {samples} samples", ok)
             )
     return verdicts
 
@@ -326,13 +318,9 @@ def _suite_conjecture(max_n: int, seed: int) -> list[dict]:
                 continue
             res = min_inst_exhaustive(n, t)
             verdicts.append(
-                {
-                    "claim": f"inst({n},{t}) = {2 * t + 1}",
-                    "status": "pass" if res.minimum == 2 * t + 1 else "FAIL",
-                    "value": res.minimum,
-                    "colourings_scanned": res.colourings_scanned,
-                    "orbits_scanned": res.orbits_scanned,
-                }
+                _verdict(f"inst({n},{t}) = {2 * t + 1}", res.minimum == 2 * t + 1,
+                         value=res.minimum, colourings_scanned=res.colourings_scanned,
+                         orbits_scanned=res.orbits_scanned)
             )
     return verdicts
 
@@ -347,10 +335,7 @@ def _suite_oracle(max_n: int, seed: int) -> list[dict]:
             if inst_exact(f).value != inst_bruteforce(f):
                 ok = False
         verdicts.append(
-            {
-                "claim": f"inst_exact = inst_bruteforce on 50 random colourings, n={n}",
-                "status": "pass" if ok else "FAIL",
-            }
+            _verdict(f"inst_exact = inst_bruteforce on 50 random colourings, n={n}", ok)
         )
     return verdicts
 

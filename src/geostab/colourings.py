@@ -66,8 +66,7 @@ class Colouring:
 
     The full colour table is materialised at construction (the instability
     engines consume it wholesale); ``t_f`` is computed lazily on first use.
-    Evaluation is pure and reentrant, and the lazy cache is idempotent, so
-    instances are safe to share across threads.
+    Evaluation is pure and the lazy cache is idempotent.
     """
 
     def __init__(self, spec: ColouringSpec, table: np.ndarray):
@@ -114,7 +113,17 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _check_partition(blocks: Sequence[Sequence[int]], universe: set[int], what: str) -> None:
+def _check_blocks(blocks: Sequence[Sequence[int]], count: int, t: int, lo: int, n: int,
+                  what: str) -> None:
+    """``count`` blocks of at least t+1 coordinates that partition lo..n exactly."""
+    _require(len(blocks) == count, f"need s+1 = {count} blocks, got {len(blocks)}")
+    for block in blocks:
+        _require(
+            len(block) >= t + 1,
+            f"every block needs size >= t+1 = {t + 1}, got {sorted(block)}",
+        )
+        _require(all(lo <= i <= n for i in block), f"block {sorted(block)} not within {lo}..{n}")
+    universe = set(range(lo, n + 1))
     seen: set[int] = set()
     for block in blocks:
         bs = set(block)
@@ -197,14 +206,7 @@ def _make_aqj(spec: ColouringSpec) -> Colouring:
         f"need n >= (s+1)(t+1) = {(s + 1) * (t + 1)}, got n={n}",
     )
     blocks = spec.partition or ()
-    _require(len(blocks) == s + 1, f"need s+1 = {s + 1} blocks, got {len(blocks)}")
-    for block in blocks:
-        _require(
-            len(block) >= t + 1,
-            f"every block needs size >= t+1 = {t + 1}, got {sorted(block)}",
-        )
-        _require(all(1 <= i <= n for i in block), f"block {sorted(block)} not within 1..{n}")
-    _check_partition(blocks, set(range(1, n + 1)), "aqj partition")
+    _check_blocks(blocks, s + 1, t, 1, n, "aqj partition")
     return Colouring(spec, _aqj_table(n, j, blocks))
 
 
@@ -224,17 +226,7 @@ def _make_partition(spec: ColouringSpec) -> Colouring:
             n >= (s + 1) * (t + 1) + k,
             f"need n >= (s+1)(t+1)+k = {(s + 1) * (t + 1) + k}, got n={n}",
         )
-        _require(len(blocks) == s + 1, f"need s+1 = {s + 1} blocks, got {len(blocks)}")
-        for block in blocks:
-            _require(
-                len(block) >= t + 1,
-                f"every block needs size >= t+1 = {t + 1}, got {sorted(block)}",
-            )
-            _require(
-                all(k + 1 <= i <= n for i in block),
-                f"block {sorted(block)} not within {k + 1}..{n}",
-            )
-        _check_partition(blocks, set(range(k + 1, n + 1)), "b_t^k partition")
+        _check_blocks(blocks, s + 1, t, k + 1, n, "b_t^k partition")
 
     codes = np.arange(1 << n, dtype=np.uint32)
     prefix = weights_vector(k)[codes & ((1 << k) - 1)]

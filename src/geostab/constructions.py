@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colourings import Colouring, complement_colouring, is_defined_by
+from .colourings import Colouring, ColouringSpec, complement_colouring, is_defined_by, make
 from .errors import UndefinedRadiusError, ValidationError
 from .hypercube import (
     Geodesic,
@@ -31,7 +31,6 @@ from .hypercube import (
     weights_vector,
 )
 from .instability import jumps_of_path, winst_exact
-from .colourings import ColouringSpec, make
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,12 @@ colours the j-th free point).
 Coordinate permutations and the complement map f -> 1 - f(~x) preserve the
 balls, the radius t_f, inst and winst.  A sweep therefore scores one
 counter per orbit of this group of order 2 n!: the orbit's least counter,
-its representative.  The group is closed once per sweep from its
-generators (the n-1 adjacent coordinate transpositions and the complement
-map), as the list of its distinct actions on counter bits.  The orbits are
-then found by a scan in ascending counter order over a 2^F bitmap of
-covered counters: the first uncovered counter starts a new orbit, which is
-the set of its images under every action.  A sweep reports the
+its representative.  The group is listed directly, once per sweep: every
+coordinate permutation, without and with the complement map, as its
+action on counter bits.  The orbits are then found by a scan in ascending
+counter order over a 2^F bitmap of covered counters: the first uncovered
+counter starts a new orbit, which is the set of its images under every
+action.  A sweep reports the
 representatives scored (``orbits_scanned``) and the colourings they cover,
 the sum of their orbit sizes (``colourings_scanned``), which is 2^F for a
 finished sweep.  Every orbit member has its representative's value and the
@@ -31,12 +31,14 @@ accept ``threads`` only as 1).  It scores the representatives in chunks and
 checkpoints its progress and the running minimum to a JSON file after every
 chunk, so long runs can resume; the result is independent of the chunking
 because minima are merged by (value, counter).  A resumed sweep rescores
-the representatives its checkpoint has scored and refuses the checkpoint
-unless its minima are theirs.
+the representatives below its checkpoint's ``next_counter`` and accepts
+the checkpoint only as the exact state the sweep writes after scoring
+them: every field equal as JSON text, with no field missing or extra.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -108,47 +110,37 @@ def _counter_bits(counters: np.ndarray, F: int) -> np.ndarray:
 
 
 def _group(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every distinct action of the symmetry group on counters.
+    """Every action of the symmetry group on counters, listed directly.
 
     Returns ``(weights, masks)``: action a sends the counter with bit vector
     b to ``masks[a] ^ (weights[a] @ b)``, where ``weights[a, j]`` is
     ``1 << dest``, dest being the position of the j-th free point's image,
     and ``masks[a]`` flips every bit when the action includes the
-    complement map.  The group is closed from its generators, the n-1
-    adjacent coordinate transpositions and the complement map, so its size
-    is the number of distinct actions: 2 n! when F > 0 and 2 when F = 0.
+    complement map.  Every coordinate permutation is listed without and
+    with the complement map, 2 n! actions; the images of the free points
+    are gathered from their uint8 bits.  When F = 0 every action fixes the
+    one counter, so only the identity permutation is listed: 2 actions.
     """
     F = len(free)
-    images = [free ^ ((((free >> i) ^ (free >> (i + 1))) & 1) * (3 << i)) for i in range(n - 1)]
-    images.append(free ^ ((1 << n) - 1))
-    # an action is a row of destinations with its complement flag in column
-    # F; the closure keys the rows by their bytes
-    gens = np.zeros((n, F + 1), dtype=np.int8)
-    gens[:, :F] = np.searchsorted(free, images)
-    gens[-1, F] = 1
-    group = {np.append(np.arange(F), 0).astype(np.int8).tobytes()}
-    frontier = group
-    while frontier:
-        rows = np.frombuffer(b"".join(frontier), dtype=np.int8).reshape(-1, F + 1)
-        raw = np.concatenate(
-            [np.column_stack((g[rows[:, :F]], rows[:, F] ^ g[F])) for g in gens]
-        ).tobytes()
-        frontier = {raw[i:i + F + 1] for i in range(0, len(raw), F + 1)} - group
-        group |= frontier
-    actions = np.frombuffer(b"".join(sorted(group)), dtype=np.int8).reshape(-1, F + 1)
-    weights = np.left_shift(1, actions[:, :F], dtype=np.int64)
-    masks = actions[:, F] * np.int64((1 << F) - 1)
+    perms = np.array(list(itertools.permutations(range(n))) if F else [range(n)])
+    bits = ((free[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    images = bits[:, perms] @ (1 << np.arange(n))  # (F, n!): bit k of an image is bit perm[k]
+    images = np.concatenate([images, images ^ ((1 << n) - 1)], axis=1).T
+    weights = np.left_shift(1, np.searchsorted(free, images), dtype=np.int64)
+    masks = np.repeat(np.array([0, (1 << F) - 1], dtype=np.int64), len(perms))
     return weights, masks
 
 
 def _orbits(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least counter and size of every orbit, ascending by least counter.
 
-    An orbit is the image set of its least counter under the whole group;
-    by orbit-stabiliser its size is the group order over the number of
-    actions that fix that counter.  The images are summed as float64, where
-    the product runs in BLAS; every weight is a power of two below 2^F, so
-    every sum is an integer below 2^F <= 2^22 and exact.
+    An orbit is the image set of its least counter under the whole group.
+    ``_group`` lists each group element once (or, with F = 0, two actions
+    that both fix the one counter), so by orbit-stabiliser the orbit's size
+    is the number of listed actions over the number that fix that counter.
+    The images are summed as float64, where the product runs in BLAS; every
+    weight is a power of two below 2^F, so every sum is an integer below
+    2^F <= 2^22 and exact.
     """
     weights, masks = _group(n, free)
     weights = weights.astype(np.float64)
@@ -168,117 +160,89 @@ def _orbits(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(reps, dtype=np.int64), np.array(sizes, dtype=np.int64)
 
 
-def _least(values: np.ndarray, counters: np.ndarray) -> Optional[tuple[int, int]]:
-    """The (value, counter) minimum; ties go to the first, least counter."""
+def _least(prior: Optional[tuple[int, int]], values: np.ndarray,
+           counters: np.ndarray) -> Optional[tuple[int, int]]:
+    """The (value, counter) minimum of ``prior`` and an ascending batch; ties
+    go to the least counter."""
     if not len(counters):
-        return None
+        return prior
     i = int(values.argmin())
-    return int(values[i]), int(counters[i])
+    found = (int(values[i]), int(counters[i]))
+    return found if prior is None else min(prior, found)
 
 
 def _score(
-    n: int, t: int, mode: str, counters: np.ndarray
+    n: int, t: int, mode: str, counters: np.ndarray,
+    best: Optional[tuple[int, int]] = None, best_exact: Optional[tuple[int, int]] = None,
 ) -> tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]:
-    """Minima (value, counter) of one ascending batch of counters.
-
-    Returns the minimum over all of them (inst only, else None) and the
-    minimum over those with radius exactly t.
-    """
+    """The running minima (value, counter) merged with those of one ascending
+    batch of counters: over all of them (inst only, else None) and over
+    those with radius exactly t."""
     bits = _counter_bits(counters, len(free_point_codes(n, t)))
     tables = tables_from_free_layers(n, t, bits)
     exact = radii(tables, n) == t
     if mode == "inst":
         values = inst_values_batch(tables, n)
-        return _least(values, counters), _least(values[exact], counters[exact])
+        return _least(best, values, counters), _least(best_exact, values[exact], counters[exact])
     if not exact.any():
-        return None, None
+        return best, best_exact
     values = winst_values_batch(tables[exact], n, t)
-    return None, _least(values, counters[exact])
+    return best, _least(best_exact, values, counters[exact])
 
 
-def _merge(a: Optional[tuple[int, int]], b: Optional[tuple[int, int]]) -> Optional[tuple[int, int]]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def _checkpoint(key: dict, reps: np.ndarray, sizes: np.ndarray, done: int,
+                best: Optional[tuple[int, int]], best_exact: Optional[tuple[int, int]]) -> dict:
+    """The checkpoint (format v2) of the sweep ``key`` once it has scored the
+    first ``done`` representatives and found the minima ``best`` and
+    ``best_exact``."""
+    return dict(key, version=CHECKPOINT_VERSION,
+                next_counter=int(reps[done]) if done < len(reps) else 1 << key["F"],
+                orbits_scanned=done, scanned=int(sizes[:done].sum()),
+                best=best, best_exact=best_exact)
 
 
-def _load_checkpoint(path: str, key: dict) -> Optional[dict]:
-    """The checkpoint at ``path`` checked against the sweep ``key``, or None
-    when there is no file yet.  Anything unreadable, of another version or of
-    another sweep raises ValidationError."""
+def _resume_point(
+    path: str, key: dict, reps: np.ndarray, sizes: np.ndarray, batch_size: int
+) -> tuple[int, Optional[tuple[int, int]], Optional[tuple[int, int]]]:
+    """``(done, best, best_exact)`` of the checkpoint at ``path``, or of a
+    fresh sweep when there is no file yet.
+
+    The representatives below its ``next_counter`` are rescored, and the
+    file is refused unless it is, key for key and as JSON text, the state
+    the sweep itself writes after scoring them."""
     try:
         with open(path) as fh:
             state = json.load(fh)
     except FileNotFoundError:
-        return None
+        return 0, None, None
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(state, dict):
         raise ValidationError(f"checkpoint {path} is not a JSON object")
-    if "version" not in state:
+    total, counter = 1 << key["F"], state.get("next_counter")
+    done = int(np.searchsorted(reps, counter)) if _is_int(counter) and 0 <= counter <= total else -1
+    if done < 0 or (reps[done] if done < len(reps) else total) != counter:
         raise ValidationError(
-            f"checkpoint {path} has no version (a legacy format); delete it to restart the sweep"
-        )
-    if state["version"] != CHECKPOINT_VERSION:
-        raise ValidationError(
-            f"checkpoint {path} has version {state['version']!r}, expected {CHECKPOINT_VERSION}"
-        )
-    missing = sorted((set(key) | {"next_counter", "orbits_scanned", "scanned", "best", "best_exact"})
-                     - set(state))
-    if missing:
-        raise ValidationError(f"checkpoint {path} lacks {', '.join(missing)}")
-    found = {k: state[k] for k in key}
-    if found != key:
-        raise ValidationError(f"checkpoint {path} belongs to a different sweep: {found}, not {key}")
-    total = 1 << key["F"]
-    if not _is_int(state["next_counter"]) or not 0 <= state["next_counter"] <= total:
-        raise ValidationError(
-            f"checkpoint {path}: next_counter={state['next_counter']!r} outside [0, {total}]"
-        )
-    for name in ("best", "best_exact"):
-        pair = state[name]
-        if pair is not None and not (
-            isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
-            and 0 <= pair[1] < total
-        ):
-            raise ValidationError(f"checkpoint {path}: {name}={pair!r} is not [value, counter]")
-        if pair is not None:
-            state[name] = tuple(pair)
-    return state
-
-
-def _resume_point(
-    path: str, state: dict, reps: np.ndarray, sizes: np.ndarray, batch_size: int
-) -> int:
-    """Number of representatives a checkpoint has scored, after checking its
-    counts against the orbits recomputed for this sweep and its minima
-    against a rescoring of the representatives it has scored."""
-    done = int(np.searchsorted(reps, state["next_counter"]))
-    at_rep = done < len(reps) and reps[done] == state["next_counter"]
-    if not (at_rep or (done == len(reps) and state["next_counter"] == 1 << state["F"])):
-        raise ValidationError(
-            f"checkpoint {path}: next_counter={state['next_counter']} is not an orbit representative"
-        )
-    covered = int(sizes[:done].sum())
-    if (state["orbits_scanned"], state["scanned"]) != (done, covered):
-        raise ValidationError(
-            f"checkpoint {path}: {state['orbits_scanned']} orbits covering {state['scanned']} "
-            f"colourings, but the {done} orbits below next_counter cover {covered}"
+            f"checkpoint {path}: next_counter={counter!r} is neither an orbit representative "
+            f"nor 2^F = {total}"
         )
     best = best_exact = None
     for i in range(0, done, batch_size):
-        chunk_best, chunk_exact = _score(state["n"], state["t"], state["mode"],
-                                         reps[i:min(i + batch_size, done)])
-        best, best_exact = _merge(best, chunk_best), _merge(best_exact, chunk_exact)
-    if (best, best_exact) != (state["best"], state["best_exact"]):
+        best, best_exact = _score(key["n"], key["t"], key["mode"],
+                                  reps[i:min(i + batch_size, done)], best, best_exact)
+    expected = _checkpoint(key, reps, sizes, done, best, best_exact)
+
+    def shown(d: dict, k: str) -> str:
+        return json.dumps(d[k]) if k in d else "absent"
+
+    differ = [k for k in sorted(state.keys() | expected.keys())
+              if shown(state, k) != shown(expected, k)]
+    if differ:
         raise ValidationError(
-            f"checkpoint {path}: best, best_exact = "
-            f"{json.dumps([state['best'], state['best_exact']])}, but the {done} scored "
-            f"representatives rescore to {json.dumps([best, best_exact])}"
+            f"checkpoint {path} is not the state its {done} scored representatives rescore to: "
+            + "; ".join(f"{k} is {shown(state, k)}, expected {shown(expected, k)}" for k in differ)
         )
-    return done
+    return done, best, best_exact
 
 
 def _save_checkpoint(path: str, state: dict) -> None:
@@ -319,59 +283,39 @@ def _run_sweep(
         raise ValidationError(f"batch_size must be at least 1, got {batch_size}")
     started = time.perf_counter()
     free = _check_free_count(n, t)
-    total = 1 << len(free)
     key = {"n": n, "t": t, "mode": mode, "F": len(free)}
-    state = _load_checkpoint(checkpoint_path, key) if checkpoint_path else None
     reps, sizes = _orbits(n, free)
-
-    done = 0  # representatives scored, a prefix of reps
-    best: Optional[tuple[int, int]] = None  # (value, counter), inst: unfiltered
-    best_exact: Optional[tuple[int, int]] = None
-    if state is not None:
-        done = _resume_point(checkpoint_path, state, reps, sizes, batch_size)
-        best, best_exact = state["best"], state["best_exact"]
+    # representatives scored, a prefix of reps, and the (value, counter)
+    # minima: over every colouring for inst, over radius exactly t
+    done, best, best_exact = 0, None, None
+    if checkpoint_path:
+        done, best, best_exact = _resume_point(checkpoint_path, key, reps, sizes, batch_size)
 
     for i in range(done, len(reps), batch_size):
-        chunk_best, chunk_exact = _score(n, t, mode, reps[i:i + batch_size])
-        best = _merge(best, chunk_best)
-        best_exact = _merge(best_exact, chunk_exact)
         done = min(i + batch_size, len(reps))
+        best, best_exact = _score(n, t, mode, reps[i:done], best, best_exact)
         if checkpoint_path:
-            _save_checkpoint(
-                checkpoint_path,
-                dict(key, version=CHECKPOINT_VERSION,
-                     next_counter=int(reps[done]) if done < len(reps) else total,
-                     orbits_scanned=done, scanned=int(sizes[:done].sum()),
-                     best=best, best_exact=best_exact),
-            )
+            _save_checkpoint(checkpoint_path, _checkpoint(key, reps, sizes, done, best, best_exact))
 
-    covered = int(sizes[:done].sum())
+    covered, total = int(sizes[:done].sum()), 1 << len(free)
     if covered != total:
         raise AssertionError(f"the scored orbits cover {covered} colourings, expected 2^F = {total}")
     elapsed = time.perf_counter() - started
-    counts = dict(colourings_scanned=covered, orbits_scanned=done, elapsed=elapsed)
-    if mode == "inst":
-        if best is None:
-            raise AssertionError("inst sweep finished without a minimum")
-        value, counter = best
-        argmin = _colouring_from_counter(n, t, counter)
-        _check_argmin(argmin, value, mode)
-        extra_val = extra_spec = None
-        if best_exact is not None and best_exact != best:
-            extra_val = best_exact[0]
-            extra_spec = _colouring_from_counter(n, t, best_exact[1]).spec
-        return SearchResult(
-            n=n, t=t, mode="inst", minimum=value, argmin=argmin.spec, **counts,
-            minimum_exact_tf=extra_val, argmin_exact_tf=extra_spec,
-        )
-    if best_exact is None:
-        raise AssertionError("winst sweep found no colouring with radius exactly t")
-    value, counter = best_exact
+    minimum = best if mode == "inst" else best_exact
+    if minimum is None:
+        raise AssertionError(f"{mode} sweep found no colouring it minimises over")
+    value, counter = minimum
     argmin = _colouring_from_counter(n, t, counter)
-    if argmin.t_f != t:
+    if mode == "winst" and argmin.t_f != t:
         raise AssertionError(f"winst argmin has t_f={argmin.t_f}, expected {t}")
     _check_argmin(argmin, value, mode)
-    return SearchResult(n=n, t=t, mode="winst", minimum=value, argmin=argmin.spec, **counts)
+    extra = mode == "inst" and best_exact is not None and best_exact != best
+    return SearchResult(
+        n=n, t=t, mode=mode, minimum=value, argmin=argmin.spec,
+        colourings_scanned=covered, orbits_scanned=done, elapsed=elapsed,
+        minimum_exact_tf=best_exact[0] if extra else None,
+        argmin_exact_tf=_colouring_from_counter(n, t, best_exact[1]).spec if extra else None,
+    )
 
 
 def min_inst_exhaustive(

@@ -166,6 +166,11 @@ _DROP = object()
         {"done": 512, "best_exact": [4, 13376]},  # counter 13376 has radius 1
         # counter 3 is a scored representative of value 4, not the minimum 2
         {"best": [4, 3]},
+        # each field must be the JSON text the sweep writes, and no other
+        {"t": False},
+        {"orbits_scanned": 259.0},  # the true count, as a float
+        {"F": 14.0},
+        {"extra": 1},
     ],
 )
 def test_checkpoint_refused(tmp_path, change):
@@ -181,6 +186,44 @@ def test_checkpoint_refused(tmp_path, change):
     runner = min_inst_exhaustive if mode == "inst" else min_winst_exhaustive
     with pytest.raises(ValidationError):
         runner(4, 0, checkpoint_path=str(path))
+
+
+# checkpoints as written by the v2 format's first writer, each with its
+# place among the writes of a sweep in chunks of 100 representatives: the
+# first write of the (5,1) inst sweep and the last of the (4,1) winst sweep
+_PINNED = {
+    (5, 1, "inst"): (0, '{"n": 5, "t": 1, "mode": "inst", "F": 20, "version": 2, '
+                    '"next_counter": 1062, "orbits_scanned": 100, "scanned": 10677, '
+                    '"best": [4, 0], "best_exact": [4, 0]}'),
+    (4, 1, "winst"): (-1, '{"n": 4, "t": 1, "mode": "winst", "F": 6, "version": 2, '
+                     '"next_counter": 64, "orbits_scanned": 7, "scanned": 64, '
+                     '"best": null, "best_exact": [3, 7]}'),
+}
+
+
+@pytest.mark.parametrize("n, t, mode", sorted(_PINNED))
+def test_checkpoint_format_is_pinned(tmp_path, monkeypatch, n, t, mode):
+    runner = min_inst_exhaustive if mode == "inst" else min_winst_exhaustive
+    fresh = dataclasses.replace(runner(n, t), elapsed=0)
+    write, text = _PINNED[n, t, mode]
+    path = tmp_path / "sweep.json"
+    path.write_text(text)
+    resumed = runner(n, t, checkpoint_path=str(path), batch_size=100)
+    assert dataclasses.replace(resumed, elapsed=0) == fresh
+
+    # a fresh sweep in chunks of 100 writes the pinned text byte for byte
+    written = []
+    save = search._save_checkpoint
+
+    def recorded(path, state):
+        save(path, state)
+        with open(path) as fh:
+            written.append(fh.read())
+
+    monkeypatch.setattr(search, "_save_checkpoint", recorded)
+    path.unlink()
+    runner(n, t, checkpoint_path=str(path), batch_size=100)
+    assert written[write] == text
 
 
 def _tables_of(n, t, counters):
