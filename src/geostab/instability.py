@@ -13,10 +13,15 @@ so every predecessor state sits in the same column of another row: each
 column is its own DP, and a query fills only the columns of the ends it
 reads.  Each entry stores 2*g(x, S) + f(x); the colour in the low bit
 turns the jump into a parity.  Rows are filled one popcount layer at a
-time, in blocks of rows.  A geodesic from s ends at ~s, so start and end
+time, in blocks of rows, and a row S without i is in the layer before
+S, so only two layers are live, each at most C(n, n//2) rows, stored by
+rank within the layer.  A geodesic from s ends at ~s, so start and end
 constraints filter the starts, and its reversal, from ~s, has the same
-jumps: inst fills the ends of the starts below 2^(n-1), 4^n/2 bytes, and
-winst those of the well-ending starts, at most 2^n * C(n, t+1) bytes.
+jumps: inst fills the ends of the starts below 2^(n-1), in two layers of
+2 * C(n, n//2) * 2^(n-1) bytes (14 MB at n = 13, 56 MB at n = 14), and
+winst those of the well-ending starts, at most 2 * C(n, n//2) * C(n, t+1)
+bytes.  The values are in the last layer, the full set.  A witness
+descends through one column, which is filled again alone, 2^n bytes.
 
 A literal brute-force enumerator over all starts and flip permutations is
 kept as an independent oracle for cross-checking at tiny dimensions.
@@ -28,7 +33,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -68,8 +73,10 @@ def dimension_cap(explicit: Optional[int] = None) -> int:
     """Engine dimension cap: explicit argument, else GEOSTAB_MAX_N, else 13.
 
     Passing ``cap`` explicitly (or setting the environment variable) is the
-    acknowledgement that the DP table fits in memory: 4^n/2 bytes for inst,
-    at most 2^n * C(n, t+1) bytes for winst at radius t.
+    acknowledgement that the DP layers fit in memory: two popcount layers,
+    2 * C(n, n//2) * 2^(n-1) bytes for inst (14 MB at n = 13, 56 MB at
+    n = 14) and at most 2 * C(n, n//2) * C(n, t+1) bytes for winst at
+    radius t, times the number of colourings scored together.
     """
     if explicit is not None:
         return explicit
@@ -106,18 +113,28 @@ def jumps_of_path(f: Colouring, seq: Sequence[Point]) -> PathReport:
 
 @lru_cache(maxsize=None)
 def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """For each popcount k = 1..n, the subsets S of size k in ascending code
-    and their (C(n,k), k) predecessors S without i, one per i in S ascending."""
+    """For each popcount k = 0..n, the subsets S of size k in ascending code
+    and, as (C(n,k), k) ranks in layer k-1, their predecessors S without i,
+    one per i in S ascending.  A subset is also its row of the colour-block
+    table of ``_dp_layers``, before the high half of an end is xor-ed in."""
     subsets = np.arange(1 << n, dtype=np.intp)
     bits = 1 << np.arange(n, dtype=np.intp)
     member = (subsets[:, None] & bits) != 0
-    layers = [subsets[member.sum(axis=1) == k] for k in range(1, n + 1)]
-    return tuple((S, (S[:, None] ^ bits)[member[S]].reshape(len(S), -1)) for S in layers)
+    layers = [subsets[member.sum(axis=1) == k] for k in range(n + 1)]
+    rank = np.empty_like(subsets)
+    for S in layers:
+        rank[S] = np.arange(len(S))
+    return tuple((S, rank[(S[:, None] ^ bits)[member[S]].reshape(len(S), -1)]) for S in layers)
 
 
-def _dp_fill(tables: np.ndarray, n: int, ends: np.ndarray) -> np.ndarray:
-    """Q[S, j, b] = 2*g(z^S, S) + f_b(z^S) with z = ends[j], for a (B, 2^n)
-    colour-table batch and ascending, distinct end points ``ends``.
+def _dp_layers(
+    tables: np.ndarray, n: int, ends: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For k = 0..n, the subsets S of size k in ascending code and the layer
+    Q[r, j, b] = 2*g(z^S, S) + f_b(z^S) of S = subsets[r] and z = ends[j],
+    for a (B, 2^n) colour-table batch and ascending, distinct end points
+    ``ends``.  Two layer buffers are reused: a layer is overwritten two
+    layers after it is yielded, so a consumer that keeps it copies it.
 
     The predecessor of state (x, S) through bit i is (x^e_i, S^e_i), which
     is column z of row S^e_i.  Xor-ing in f(x) leaves 2*g + jump; rounding
@@ -128,45 +145,63 @@ def _dp_fill(tables: np.ndarray, n: int, ends: np.ndarray) -> np.ndarray:
     if N != 1 << n:
         raise ValidationError(f"tables must have 2^{n} columns, got {N}")
     T = np.ascontiguousarray(tables.T, dtype=np.int8)
-    Q = np.empty((N, len(ends), B), dtype=np.int8)
-    Q[0] = T[ends]
+    layers = _layers(n)
+    buffers = np.empty((2, len(layers[n // 2][0]), len(ends), B), dtype=np.int8)
+    prev = buffers[0, :1]
+    prev[0] = T[ends]
+    yield layers[0][0], prev
     # The colours f(z^S) of row S, with z split into high and low halves:
-    # A[s, h] is block h of the colours with the low half xor-ed by s, so a
-    # row gathers the blocks A[S_low, h^S_high] for the distinct high halves
+    # A[g*L + s] is block g of the colours with the low half xor-ed by s, so
+    # row S gathers the blocks A[S ^ (h << l)] for the distinct high halves
     # h of ``ends``, then selects the columns of ``ends`` unless they are
     # those whole blocks.
     l = n // 2
-    L, H = 1 << l, N >> l
-    A = np.empty((L, H, L, B), dtype=np.int8)
-    for s in range(L):
-        T.reshape(H, L, B).take(np.arange(L) ^ s, axis=1, out=A[s], mode="clip")
-    A = A.reshape(L * H, L, B)
-    high, rank = np.unique(ends >> l, return_inverse=True)
-    cols = None if len(ends) == len(high) * L else rank * L + (ends & (L - 1))
-    for subsets, preds in _layers(n):
-        k = preds.shape[1]
+    L = 1 << l
+    low = np.arange(L)
+    A = T.reshape(N >> l, L, B).take(low[:, None] ^ low, axis=1).reshape(N, L, B)
+    hi = ends >> l  # ascending, as ``ends`` are
+    high = hi[np.concatenate(([True], hi[1:] != hi[:-1]))]
+    if len(ends) == len(high) * L:
+        cols = None
+    else:
+        cols = np.searchsorted(high, hi) * L + (ends & (L - 1))
+    for k, (subsets, preds) in enumerate(layers[1:], 1):
+        cur = buffers[k % 2, :len(subsets)]
         rows = max(1, _BLOCK_BYTES // max(1, (k * len(ends) + len(high) * L) * B))
-        blocks = (subsets & (L - 1))[:, None] * H + (high ^ (subsets >> l)[:, None])
+        blocks = subsets[:, None] ^ (high << l)
         for a in range(0, len(subsets), rows):
-            S = subsets[a:a + rows]
-            P = A.take(blocks[a:a + rows], axis=0).reshape(len(S), -1, B)
+            block = blocks[a:a + rows]
+            P = A.take(block, axis=0).reshape(len(block), -1, B)
             if cols is not None:
                 P = P.take(cols, axis=1)
-            X = Q.take(preds[a:a + rows], axis=0)
+            X = prev.take(preds[a:a + rows], axis=0)
             X ^= P[:, None]
-            row = X.max(axis=1)
+            row = X.max(axis=1, out=cur[a:a + rows])
             row += 1
             row &= -2
             row += P
-            Q[S] = row
-    return Q
+        yield subsets, cur
+        prev = cur
 
 
-def _start_values(tables: np.ndarray, n: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The table filled for the ends 2^n - 1 - s of the ascending ``starts``,
-    whose columns are the starts reversed, and g(s, full set) as (B, starts)."""
-    Q = _dp_fill(tables, n, ((1 << n) - 1 - starts)[::-1])
-    return Q, (Q[-1] >> 1)[::-1].T
+def _start_values(tables: np.ndarray, n: int, starts: np.ndarray) -> np.ndarray:
+    """g(s, full set) as (B, starts) for the ascending ``starts``, from the
+    last layer of the fill for their ends 2^n - 1 - s, the starts reversed."""
+    for _, top in _dp_layers(tables, n, ((1 << n) - 1 - starts)[::-1]):
+        pass
+    return (top[0] >> 1)[::-1].T
+
+
+def _end_column(table: np.ndarray, n: int, end: int) -> np.ndarray:
+    """The filled column of one end point, 2*g(end^S, S) + f(end^S) indexed
+    by the code of S: a refill of the aligned block of 2^(n//2) ends that
+    holds it, which needs no column select."""
+    L = 1 << n // 2
+    base = end & -L
+    column = np.empty(1 << n, dtype=np.int8)
+    for subsets, layer in _dp_layers(table[None], n, base + np.arange(L)):
+        column[subsets] = layer[:, end - base, 0]
+    return column
 
 
 def _reconstruct(column: np.ndarray, table: np.ndarray, n: int, start: int) -> tuple[int, ...]:
@@ -202,13 +237,14 @@ def _best_start(
     if starts.size == 0:
         return InstabilityReport(mode=mode, value=None, witness=None, t_used=t_used)
     table = f.table()
-    Q, top = _start_values(table[None], f.n, starts)
+    top = _start_values(table[None], f.n, starts)
     i = int(np.argmax(top[0]))
-    order = _reconstruct(Q[:, len(starts) - 1 - i, 0], table, f.n, int(starts[i]))
+    start = int(starts[i])
+    order = _reconstruct(_end_column(table, f.n, ((1 << f.n) - 1) ^ start), table, f.n, start)
     return InstabilityReport(
         mode=mode,
         value=int(top[0, i]),
-        witness=Geodesic(Point(f.n, int(starts[i])), order),
+        witness=Geodesic(Point(f.n, start), order),
         t_used=t_used,
     )
 
@@ -300,7 +336,7 @@ def inst_bruteforce(f: Colouring) -> int:
 def inst_values_batch(tables: np.ndarray, n: int, cap: Optional[int] = None) -> np.ndarray:
     """inst(f) for every row of a (B, 2^n) colour-table batch."""
     _check_cap(n, cap)
-    return _start_values(tables, n, np.arange(1 << (n - 1)))[1].max(axis=1).astype(np.int16)
+    return _start_values(tables, n, np.arange(1 << (n - 1))).max(axis=1).astype(np.int16)
 
 
 def winst_values_batch(
@@ -309,5 +345,5 @@ def winst_values_batch(
     """winst(f) for every row; rows are assumed to respect the radius-t balls."""
     _check_cap(n, cap)
     starts, ok = _well_ending_starts(tables, n, t)
-    vals = np.where(ok, _start_values(tables, n, starts)[1], np.int8(-1))
+    vals = np.where(ok, _start_values(tables, n, starts), np.int8(-1))
     return vals.max(axis=1).astype(np.int16)

@@ -29,7 +29,9 @@ from geostab.hypercube import expand, is_geodesic, weight
 from geostab.instability import (
     inst_bruteforce,
     inst_exact,
+    inst_values_batch,
     winst_exact,
+    winst_values_batch,
 )
 from geostab.search import (
     min_inst_exhaustive,
@@ -93,6 +95,16 @@ def test_criterion_4_conjecture_instance_6_2():
           f"inst(6,2) = {ri.minimum} and winst(6,2) = {rw.minimum} over 2^20 colourings")
 
 
+def _sampled_tables(n, t, seeds):
+    """The colourings of exact radius t drawn from ``seeds``, and their tables."""
+    fs = [random_colouring(n, t, seed=seed, exact_tf=True) for seed in seeds]
+    return fs, np.stack([f.table() for f in fs])
+
+
+def _sampled_winst(n, t, seed, count):
+    return winst_values_batch(_sampled_tables(n, t, range(seed, seed + count))[1], n, t)
+
+
 def test_criterion_5_winst_base_cases():
     checks = [
         min_winst_exhaustive(2, 0).minimum == 1,
@@ -100,14 +112,8 @@ def test_criterion_5_winst_base_cases():
         min_winst_exhaustive(4, 1).minimum == 3,
         min_winst_exhaustive(5, 1).minimum == 3,
     ]
-    sampled_7_2 = all(
-        winst_exact(random_colouring(7, 2, seed=10_000 + i, exact_tf=True)).value >= 4
-        for i in range(1000)
-    )
-    sampled_9_3 = all(
-        winst_exact(random_colouring(9, 3, seed=20_000 + i, exact_tf=True)).value >= 4
-        for i in range(100)
-    )
+    sampled_7_2 = (_sampled_winst(7, 2, 10_000, 1000) >= 4).all()
+    sampled_9_3 = (_sampled_winst(9, 3, 20_000, 100) >= 4).all()
     ok = all(checks) and sampled_7_2 and sampled_9_3
     _line(5, ok,
           "winst minima 1,1,3,3 at (2,0),(3,0),(4,1),(5,1); sampled winst >= 4 "
@@ -122,10 +128,12 @@ def test_criterion_6_zigzag_bounds_sampled():
             pairs += 1
             lb_w = zigzag_winst_formula(n, t)
             lb_i = zigzag_inst_formula(n, t)
-            for i in range(100):
-                f = random_colouring(n, t, seed=1_000_000 + 1000 * n + 100 * t + i,
-                                     exact_tf=True)
-                if winst_exact(f).value < lb_w or inst_exact(f).value < lb_i:
+            fs, tables = _sampled_tables(
+                n, t, [1_000_000 + 1000 * n + 100 * t + i for i in range(100)])
+            wv = winst_values_batch(tables, n, t)
+            iv = inst_values_batch(tables, n)
+            for i, f in enumerate(fs):
+                if wv[i] < lb_w or iv[i] < lb_i:
                     bad.append((n, t, i, "bound"))
                     break
                 for mode in ("a", "b"):

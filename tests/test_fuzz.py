@@ -1,0 +1,93 @@
+"""Fuzzed input boundary: every outcome is an exit code, never a traceback.
+
+Deterministic (``derandomize=True``), so a failure reproduces on every run.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geostab.cli import main
+from geostab.colourings import KINDS, TIE_RULES
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4), st.lists(st.integers(-2, 8), max_size=3), st.just({}),
+)
+
+
+_USES = {
+    "majority": ("t", "k", "tie"),
+    "partition": ("t", "k", "partition"),
+    "aqj": ("t", "s", "j", "partition"),
+    "table": ("table",),
+    "constant": ("j",),
+}
+
+
+@st.composite
+def _spec(draw):
+    """A spec that is often well formed: n <= 6 and, for its kind, the fields
+    it uses in their ranges; then at most one corruption (a junk or nudged
+    value, a dropped field, an unknown field or a field of another kind)."""
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(0, (n - 1) // 2))
+    coords = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    values = {
+        "t": t,
+        "k": draw(st.integers(1, n)),
+        "s": draw(st.integers(0, 2)),
+        "j": draw(st.integers(0, 1)),
+        "tie": draw(st.sampled_from(TIE_RULES)),
+        "partition": [list(coords[a:b]) for a, b in zip([0] + cuts, cuts + [n])][1:],
+        "table": format(draw(st.integers(0, (1 << (1 << n)) - 1)), f"0{max(1, (1 << n) // 4)}x"),
+    }
+    spec = {"kind": kind, "n": n, **{name: values[name] for name in _USES[kind]}}
+    corruption = draw(st.sampled_from(["none", "none", "junk", "nudge", "drop", "extra", "other"]))
+    name = draw(st.sampled_from(sorted(spec)))
+    if corruption == "junk":
+        spec[name] = draw(_JUNK)
+    elif corruption == "nudge" and isinstance(spec[name], int):
+        spec[name] += draw(st.sampled_from([-2, -1, 1, 2, 1 << 40]))
+    elif corruption == "drop":
+        del spec[name]
+    elif corruption == "extra":
+        spec[draw(st.text(max_size=5))] = draw(_JUNK)
+    elif corruption == "other":
+        other = draw(st.sampled_from(sorted(values)))
+        spec[other] = values[other]
+    return spec
+
+
+_DOCUMENT = st.one_of(
+    _spec().map(json.dumps),
+    _spec().map(json.dumps),
+    _spec().map(json.dumps),
+    _spec().map(lambda spec: json.dumps(spec)[:-1]),  # truncated
+    st.one_of(_JUNK, st.lists(_spec(), max_size=1)).map(json.dumps),  # not an object
+    st.integers(0, 10**5).map(lambda depth: "[" * depth + "]" * depth),  # nested
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(document=_DOCUMENT, command=st.sampled_from(["inst", "winst"]))
+def test_spec_file_outcome_is_an_exit_code(document, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            fh.write(document)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--colouring", path, "--out", os.path.join(tmp, "r.json")])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()

@@ -292,34 +292,87 @@ def _column_sets(n):
     }
 
 
+def _code_indexed(layers, n):
+    """Q[S, j, b] rebuilt from the (subsets, layer) pairs of a fill."""
+    Q = None
+    for subsets, layer in layers:
+        if Q is None:
+            Q = np.empty((1 << n,) + layer.shape[1:], dtype=layer.dtype)
+        Q[subsets] = layer
+    return Q
+
+
+def _copied_fill(tables, n, ends):
+    from geostab.instability import _dp_layers
+
+    return _code_indexed(((S, layer.copy()) for S, layer in _dp_layers(tables, n, ends)), n)
+
+
 @pytest.mark.parametrize("B", [1, 7])
 def test_relabelled_fill_matches_reference_recurrence(B):
     # the kernel stores row S, column j as 2*g(x, S) + f(x) with x = ends[j]^S
-    from geostab.instability import _dp_fill
-
     for n in range(1, 9):
         N = 1 << n
         tables = _seeded_tables(B, n)
         G = _reference_fill(tables, n)
         for name, ends in _column_sets(n).items():
-            Q = _dp_fill(tables, n, ends)
+            Q = _copied_fill(tables, n, ends)
             assert Q.shape == (N, len(ends), B), name
             for S in range(N):
                 x = ends ^ S
                 assert (Q[S].T == 2 * G[S][:, x] + tables[:, x]).all(), (n, name, S)
 
 
+def test_layers_are_reused_so_held_layers_go_stale():
+    # only two layers are live: a consumer that keeps the yielded layers
+    # without copying them reads later layers' values, and the reference
+    # comparison above catches it
+    from geostab.instability import _dp_layers
+
+    for n in range(3, 9):
+        tables = _seeded_tables(7, n)
+        ends = np.arange(1 << n)
+        held = list(_dp_layers(tables, n, ends))
+        assert all(np.shares_memory(a[1], b[1]) for a, b in zip(held, held[2:]))
+        assert not (_code_indexed(held, n) == _copied_fill(tables, n, ends)).all()
+
+
+def test_refilled_end_column_matches_reference_fill():
+    # the witness column is refilled alone, from the aligned block of ends
+    # that holds it, and read by subset code
+    from geostab.instability import _end_column
+
+    for n in range(1, 9):
+        N = 1 << n
+        tables = _seeded_tables(1, n)
+        G = _reference_fill(tables, n)[:, 0]
+        for end in range(N):
+            x = end ^ np.arange(N)
+            want = 2 * G[np.arange(N), x] + tables[0, x]
+            assert (_end_column(tables[0], n, end) == want).all(), (n, end)
+
+
 @pytest.mark.parametrize("B", [1, 7])
 def test_geodesic_reversal_gives_complementary_starts_one_value(B):
     # reversing a geodesic from s gives one from ~s with the same jumps, which
     # is why inst fills only the ends of the starts below 2^(n-1)
-    from geostab.instability import _dp_fill
-
     for n in range(1, 9):
         N = 1 << n
         tables = _seeded_tables(B, n)
-        top = _dp_fill(tables, n, np.arange(N))[-1] >> 1  # indexed by end ~s
+        top = _copied_fill(tables, n, np.arange(N))[-1] >> 1  # indexed by end ~s
         assert (top == top[::-1]).all()
+
+
+def _traced_peak(engine):
+    """Peak traced allocation of one engine call at n = 12."""
+    f = random_colouring(12, 2, seed=3, exact_tf=True)
+    engine(f)  # the layer tables are cached on the first call
+    tracemalloc.start()
+    try:
+        engine(f)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize(
@@ -328,16 +381,15 @@ def test_geodesic_reversal_gives_complementary_starts_one_value(B):
     ids=["inst", "winst"],
 )
 def test_engine_memory_is_the_columns_it_reads(engine, bound):
-    # inst fills 2^n/2 columns, winst at most C(12, 3) = 220 of 4096
-    f = random_colouring(12, 2, seed=3, exact_tf=True)
-    engine(f)  # the layer tables are cached on the first call
-    tracemalloc.start()
-    try:
-        engine(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+    # inst fills 2^n/2 columns, winst at most C(12, 3) = 220 of 4096, each
+    # in two layers of at most C(12, 6) = 924 rows, and refills one column
+    assert _traced_peak(engine) < bound
+
+
+def test_inst_memory_is_two_layers():
+    # two layers of 924 rows by 2048 columns are 0.23 * 4^12 bytes; the
+    # whole column-restricted table, 4^12 / 2, does not fit under the bound
+    assert _traced_peak(inst_exact) < 0.4 * 4**12
 
 
 def _lex_least_optimal(f, admissible):
