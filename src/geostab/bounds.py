@@ -44,7 +44,9 @@ class BoundTable:
     two_strip_lb: Optional[int]
     known_exact: Optional[int]
     best_winst_lb: int
+    best_winst_via: str
     best_inst_lb: int
+    best_inst_via: str
 
 
 # (n0, t0, y0): winst(n0, t0) >= y0 from the exactly-analysed small cases.
@@ -166,6 +168,8 @@ def formula_bounds(n: int, t: int) -> BoundTable:
     zig_b = zigzag_inst_formula(n, t) if t >= 1 else None
     one_strip = t + 3 if (n == 2 * t + 2 and t >= 2) else None
     two_strip = 2 + (2 * t + t % 3) // 3 if (n == 2 * t + 3 and t >= 1) else None
+    best_winst = best_lower_bound(n, t, "winst")
+    best_inst = best_lower_bound(n, t, "inst")
     return BoundTable(
         n=n,
         t=t,
@@ -175,6 +179,8 @@ def formula_bounds(n: int, t: int) -> BoundTable:
         one_strip_lb=one_strip,
         two_strip_lb=two_strip,
         known_exact=known_exact_value(n, t),
-        best_winst_lb=best_lower_bound(n, t, "winst").value,
-        best_inst_lb=best_lower_bound(n, t, "inst").value,
+        best_winst_lb=best_winst.value,
+        best_winst_via=best_winst.via,
+        best_inst_lb=best_inst.value,
+        best_inst_via=best_inst.via,
     )

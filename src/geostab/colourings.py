@@ -399,10 +399,9 @@ def table_from_hex(hex_text: str, n: int) -> bytes:
         raise ValidationError(
             f"table hex for n={n} must encode 2^{n} bits in {width} digits, got {len(text)}"
         )
-    try:
-        value = int(text, 16)
-    except ValueError as exc:
-        raise ValidationError(f"not a hex string: {hex_text!r}") from exc
+    if not set(text) <= set("0123456789abcdef"):
+        raise ValidationError(f"not a hex string: {hex_text!r}")
+    value = int(text, 16)
     if value >> N:
         raise ValidationError(f"table hex has bits beyond 2^{n}")
     packed = np.frombuffer(value.to_bytes((N + 7) // 8, "little"), dtype=np.uint8)
@@ -458,7 +457,9 @@ def spec_from_json_dict(data: dict) -> ColouringSpec:
         partition = tuple(tuple(_int_field(i, "partition") for i in block) for block in blocks)
     table = None
     if data.get("table") is not None:
-        table = table_from_hex(str(data["table"]), n)
+        if not isinstance(data["table"], str):
+            raise ValidationError(f"spec field 'table' must be a hex string, got {data['table']!r}")
+        table = table_from_hex(data["table"], n)
     return ColouringSpec(
         kind=kind,
         n=n,

@@ -107,7 +107,6 @@ def zigzag_witness(f: Colouring, mode: str) -> ConstructionResult:
     n = f.n
     gap = n - 2 * t
     start_code, complemented = _scan_radius_witness(f)
-    work = complement_colouring(f) if complemented else f
     x = start_code ^ ((1 << n) - 1) if complemented else start_code
 
     ones = sorted(_bits_of(x, n), reverse=True)

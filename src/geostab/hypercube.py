@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -87,25 +86,6 @@ class Geodesic:
     @property
     def n(self) -> int:
         return self.start.n
-
-
-@dataclass(frozen=True)
-class Layer:
-    """All points of a fixed weight; plumbing for m-geodesic start enumeration."""
-
-    n: int
-    w: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.w <= self.n):
-            raise ValidationError(f"weight {self.w} out of range [0, {self.n}]")
-
-    @property
-    def size(self) -> int:
-        return comb(self.n, self.w)
-
-    def __iter__(self) -> Iterator[Point]:
-        return layer_points(self.n, self.w)
 
 
 def weight(x: Point) -> int:

@@ -21,7 +21,7 @@ jumps: inst fills the ends of the starts below 2^(n-1), in two layers of
 2 * C(n, n//2) * 2^(n-1) bytes (14 MB at n = 13, 56 MB at n = 14), and
 winst those of the well-ending starts, at most 2 * C(n, n//2) * C(n, t+1)
 bytes.  The values are in the last layer, the full set.  A witness
-descends through one column, which is filled again alone, 2^n bytes.
+descends through the column of its one end, refilled alone, 2^n bytes.
 
 A literal brute-force enumerator over all starts and flip permutations is
 kept as an independent oracle for cross-checking at tiny dimensions.
@@ -194,13 +194,10 @@ def _start_values(tables: np.ndarray, n: int, starts: np.ndarray) -> np.ndarray:
 
 def _end_column(table: np.ndarray, n: int, end: int) -> np.ndarray:
     """The filled column of one end point, 2*g(end^S, S) + f(end^S) indexed
-    by the code of S: a refill of the aligned block of 2^(n//2) ends that
-    holds it, which needs no column select."""
-    L = 1 << n // 2
-    base = end & -L
+    by the code of S: a refill of that one end alone."""
     column = np.empty(1 << n, dtype=np.int8)
-    for subsets, layer in _dp_layers(table[None], n, base + np.arange(L)):
-        column[subsets] = layer[:, end - base, 0]
+    for subsets, layer in _dp_layers(table[None], n, np.array([end])):
+        column[subsets] = layer[:, 0, 0]
     return column
 
 

@@ -202,7 +202,7 @@ def _checkpoint(key: dict, reps: np.ndarray, sizes: np.ndarray, done: int,
 
 
 def _resume_point(
-    path: str, key: dict, reps: np.ndarray, sizes: np.ndarray, batch_size: int
+    path: str, key: dict, reps: np.ndarray, sizes: np.ndarray
 ) -> tuple[int, Optional[tuple[int, int]], Optional[tuple[int, int]]]:
     """``(done, best, best_exact)`` of the checkpoint at ``path``, or of a
     fresh sweep when there is no file yet.
@@ -227,9 +227,9 @@ def _resume_point(
             f"nor 2^F = {total}"
         )
     best = best_exact = None
-    for i in range(0, done, batch_size):
+    for i in range(0, done, DEFAULT_BATCH):
         best, best_exact = _score(key["n"], key["t"], key["mode"],
-                                  reps[i:min(i + batch_size, done)], best, best_exact)
+                                  reps[i:min(i + DEFAULT_BATCH, done)], best, best_exact)
     expected = _checkpoint(key, reps, sizes, done, best, best_exact)
 
     def shown(d: dict, k: str) -> str:
@@ -275,12 +275,9 @@ def _run_sweep(
     mode: str,
     threads: int,
     checkpoint_path: Optional[str],
-    batch_size: int,
 ) -> SearchResult:
     if threads != 1:
         raise ValidationError(f"sweeps run in one process; threads must be 1, got {threads}")
-    if batch_size < 1:
-        raise ValidationError(f"batch_size must be at least 1, got {batch_size}")
     started = time.perf_counter()
     free = _check_free_count(n, t)
     key = {"n": n, "t": t, "mode": mode, "F": len(free)}
@@ -289,10 +286,10 @@ def _run_sweep(
     # minima: over every colouring for inst, over radius exactly t
     done, best, best_exact = 0, None, None
     if checkpoint_path:
-        done, best, best_exact = _resume_point(checkpoint_path, key, reps, sizes, batch_size)
+        done, best, best_exact = _resume_point(checkpoint_path, key, reps, sizes)
 
-    for i in range(done, len(reps), batch_size):
-        done = min(i + batch_size, len(reps))
+    for i in range(done, len(reps), DEFAULT_BATCH):
+        done = min(i + DEFAULT_BATCH, len(reps))
         best, best_exact = _score(n, t, mode, reps[i:done], best, best_exact)
         if checkpoint_path:
             _save_checkpoint(checkpoint_path, _checkpoint(key, reps, sizes, done, best, best_exact))
@@ -323,10 +320,9 @@ def min_inst_exhaustive(
     t: int,
     threads: int = 1,
     checkpoint_path: Optional[str] = None,
-    batch_size: int = DEFAULT_BATCH,
 ) -> SearchResult:
     """Exact inst(n, t): minimum of inst(f) over all canonical-ball colourings."""
-    return _run_sweep(n, t, "inst", threads, checkpoint_path, batch_size)
+    return _run_sweep(n, t, "inst", threads, checkpoint_path)
 
 
 def min_winst_exhaustive(
@@ -334,10 +330,9 @@ def min_winst_exhaustive(
     t: int,
     threads: int = 1,
     checkpoint_path: Optional[str] = None,
-    batch_size: int = DEFAULT_BATCH,
 ) -> SearchResult:
     """Exact winst(n, t): minimum of winst(f) over colourings with t_f = t."""
-    return _run_sweep(n, t, "winst", threads, checkpoint_path, batch_size)
+    return _run_sweep(n, t, "winst", threads, checkpoint_path)
 
 
 def random_colouring(n: int, t: int, seed: int, exact_tf: bool = False) -> Colouring:

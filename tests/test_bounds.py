@@ -104,6 +104,17 @@ def test_bounds_never_exceed_conjecture():
                 assert value is None or value <= cap
 
 
+def test_table_bests_carry_their_provenance():
+    # the grid of ``geostab bounds --n 1:15``
+    for n in range(1, 16):
+        for t in range(0, (n - 1) // 2 + 1):
+            bt = formula_bounds(n, t)
+            for mode in ("winst", "inst"):
+                best = best_lower_bound(n, t, mode)
+                assert getattr(bt, f"best_{mode}_lb") == best.value, (n, t, mode)
+                assert getattr(bt, f"best_{mode}_via") == best.via, (n, t, mode)
+
+
 def test_g_compatibility_of_chain_steps():
     # with g(s) = 2s+1 both chain rules satisfy g(s) + 2(t-s) >= g(t)
     for t in range(0, 10):

@@ -364,3 +364,52 @@ def test_spec_file_non_integer_fields_exit_2(tmp_path, capsys, fields):
 @pytest.mark.parametrize("n_arg", ["3:x", "x", "3:", ":4", "1:2:3", "3.5", "3:1", "0", "-4"])
 def test_bounds_malformed_n_exit_2(capsys, n_arg):
     _assert_refused(main(["bounds", "--n", n_arg]), capsys)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        '{"kind": "table", "n": 3, "table": 33}',
+        '{"kind": "table", "n": 3, "table": "\\u0663\\u0663"}',  # Arabic-Indic digits
+        '{"kind": "table", "n": 4, "table": "+fe8"}',
+        '{"kind": "table", "n": 4, "table": "f_e8"}',
+    ],
+)
+def test_spec_file_table_that_is_not_hex_text_exit_2(tmp_path, capsys, document):
+    spec = tmp_path / "spec.json"
+    spec.write_text(document)
+    _assert_refused(main(["inst", "--colouring", str(spec)]), capsys)
+
+
+@pytest.mark.parametrize(
+    "args", [["inst", "--seed", "1", "--kind", "majority", "--n", "5", "--t", "1", "--k", "3"],
+             ["--seed", "9", "bounds", "--n", "5"], ["search", "--n", "4", "--t", "1", "--seed", "2"]]
+)
+def test_seed_outside_verify_exit_2(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
+def test_verify_seed_reaches_the_suite(monkeypatch, capsys):
+    import geostab.cli as cli_mod
+
+    seeds = []
+    draw = cli_mod.random_colouring
+
+    def recorded(n, t, seed, exact_tf=False):
+        seeds.append(seed)
+        return draw(n, t, seed, exact_tf)
+
+    monkeypatch.setattr(cli_mod, "random_colouring", recorded)
+    code, report = run_json(["verify", "--suite", "oracle", "--seed", "1"], capsys)
+    del report["timing"]
+    claim = "inst_exact = inst_bruteforce on 50 random colourings, n={}"
+    assert code == 0 and report == {
+        "command": "verify",
+        "engine": {"name": "geostab", "version": "0.1.0", "dimension_cap": 13},
+        "inputs": {"suite": "oracle", "max_n": 6, "seed": 1},
+        "outputs": {"checked": 3, "failed": 0},
+        "verdicts": [{"claim": claim.format(n), "status": "pass"} for n in (3, 4, 5)],
+    }
+    assert seeds[:2] == [1 + 97 * 3, 1 + 97 * 3 + 1]

@@ -91,3 +91,43 @@ def test_spec_file_outcome_is_an_exit_code(document, command):
         assert err.getvalue() == ""
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+
+
+_HEX = "0123456789abcdefABCDEF"
+
+
+@st.composite
+def _table_text(draw):
+    """Table text for n = k <= 5: often hex of the right width in either
+    case with surrounding whitespace, else near-hex or arbitrary text."""
+    k = draw(st.integers(1, 5))
+    width = -(-(1 << k) // 4)
+    spaces = st.text(" \t\n", max_size=2)
+    near = st.text(_HEX + "+-_x ٣０\n", max_size=width + 2)
+    body = draw(st.one_of(st.text(_HEX, min_size=width, max_size=width), near, st.text(max_size=10)))
+    return k, draw(spaces) + body + draw(spaces)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(case=_table_text(), via_spec=st.booleans())
+def test_table_text_outcome_is_an_exit_code(case, via_spec):
+    k, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if via_spec:
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "w") as fh:
+                json.dump({"kind": "table", "n": k, "table": text}, fh)
+            args = ["inst", "--colouring", path]
+        else:
+            args = ["inst", "--kind", "table", "--n", str(k), f"--table={text}"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(args + ["--out", os.path.join(tmp, "r.json")])
+    digits = text.strip()
+    well_formed = len(digits) == -(-(1 << k) // 4) and set(digits) <= set(_HEX)
+    assert code in (0, 2)
+    if code == 0:
+        assert well_formed and err.getvalue() == ""
+    else:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+        assert not (well_formed and int(digits, 16) >> (1 << k) == 0), text

@@ -1,11 +1,12 @@
 """Point, ball, and geodesic primitives."""
 
+from math import comb
+
 import pytest
 
 from geostab.errors import ValidationError
 from geostab.hypercube import (
     Geodesic,
-    Layer,
     Point,
     expand,
     geodesic_from_text,
@@ -88,8 +89,8 @@ def test_layer_points_examples():
 
 def test_layer_sizes_sum_to_cube():
     n = 6
-    assert sum(Layer(n, w).size for w in range(n + 1)) == 2**n
-    assert all(len(list(Layer(n, w))) == Layer(n, w).size for w in range(n + 1))
+    assert sum(comb(n, w) for w in range(n + 1)) == 2**n
+    assert all(len(list(layer_points(n, w))) == comb(n, w) for w in range(n + 1))
 
 
 def test_text_form_round_trip():

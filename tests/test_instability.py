@@ -338,8 +338,8 @@ def test_layers_are_reused_so_held_layers_go_stale():
 
 
 def test_refilled_end_column_matches_reference_fill():
-    # the witness column is refilled alone, from the aligned block of ends
-    # that holds it, and read by subset code
+    # the witness column is refilled for its one end alone and read by
+    # subset code
     from geostab.instability import _end_column
 
     for n in range(1, 9):

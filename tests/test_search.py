@@ -61,9 +61,10 @@ def test_sweeps_are_reproducible():
     )
 
 
-def test_chunked_sweep_matches_single_chunk():
+def test_chunked_sweep_matches_single_chunk(monkeypatch):
     a = min_inst_exhaustive(4, 0)
-    b = min_inst_exhaustive(4, 0, batch_size=100)  # 518 representatives: six chunks
+    monkeypatch.setattr(search, "DEFAULT_BATCH", 100)
+    b = min_inst_exhaustive(4, 0)  # 518 representatives: six chunks
     assert (a.minimum, a.argmin, a.colourings_scanned, a.orbits_scanned) == (
         b.minimum,
         b.argmin,
@@ -73,8 +74,6 @@ def test_chunked_sweep_matches_single_chunk():
     for threads in (2, 0):
         with pytest.raises(ValidationError, match="one process"):
             min_inst_exhaustive(4, 0, threads=threads)
-    with pytest.raises(ValidationError, match="batch_size"):
-        min_inst_exhaustive(4, 0, batch_size=0)
 
 
 def test_winst_relay_inequality_at_small_sizes():
@@ -208,7 +207,8 @@ def test_checkpoint_format_is_pinned(tmp_path, monkeypatch, n, t, mode):
     write, text = _PINNED[n, t, mode]
     path = tmp_path / "sweep.json"
     path.write_text(text)
-    resumed = runner(n, t, checkpoint_path=str(path), batch_size=100)
+    monkeypatch.setattr(search, "DEFAULT_BATCH", 100)
+    resumed = runner(n, t, checkpoint_path=str(path))
     assert dataclasses.replace(resumed, elapsed=0) == fresh
 
     # a fresh sweep in chunks of 100 writes the pinned text byte for byte
@@ -222,7 +222,7 @@ def test_checkpoint_format_is_pinned(tmp_path, monkeypatch, n, t, mode):
 
     monkeypatch.setattr(search, "_save_checkpoint", recorded)
     path.unlink()
-    runner(n, t, checkpoint_path=str(path), batch_size=100)
+    runner(n, t, checkpoint_path=str(path))
     assert written[write] == text
 
 
