@@ -270,11 +270,11 @@ def _optimality_verdicts(kind: str, grid, name: str) -> list[dict]:
     return verdicts
 
 
-def _suite_majo(max_n: int, seed: int) -> list[dict]:
+def _suite_majo(max_n: int) -> list[dict]:
     return _optimality_verdicts("majority", majority_grid(max_n), "maj_{t}({k})")
 
 
-def _suite_block(max_n: int, seed: int) -> list[dict]:
+def _suite_block(max_n: int) -> list[dict]:
     return _optimality_verdicts("partition", partition_grid(max_n), "b_{t}^{k}")
 
 
@@ -298,7 +298,7 @@ def _suite_zigzag(max_n: int, seed: int, samples: int = 20) -> list[dict]:
     return verdicts
 
 
-def _suite_conjecture(max_n: int, seed: int) -> list[dict]:
+def _suite_conjecture(max_n: int) -> list[dict]:
     verdicts = []
     for n in range(2, max_n + 1):
         for t in range(0, (n - 1) // 2 + 1):
@@ -335,17 +335,28 @@ _SUITES = {
     "conjecture": _suite_conjecture,
     "oracle": _suite_oracle,
 }
+_SEEDED_SUITES = ("oracle", "zigzag")  # the suites that draw random colourings
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
     if args.suite not in _SUITES:
         raise ValidationError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}")
-    verdicts = _SUITES[args.suite](args.max_n, args.seed)
+    inputs = {"suite": args.suite, "max_n": args.max_n}
+    if args.suite in _SEEDED_SUITES:
+        inputs["seed"] = 0 if args.seed is None else args.seed
+        verdicts = _SUITES[args.suite](args.max_n, inputs["seed"])
+    elif args.seed is not None:
+        raise ValidationError(
+            f"suite {args.suite} draws no random colourings; --seed applies to "
+            f"{' and '.join(_SEEDED_SUITES)} only"
+        )
+    else:
+        verdicts = _SUITES[args.suite](args.max_n)
     if not verdicts:
         raise ValidationError(f"suite {args.suite} checks nothing with --max-n {args.max_n}")
     failed = [v for v in verdicts if v["status"] != "pass"]
     report = {
-        "inputs": {"suite": args.suite, "max_n": args.max_n, "seed": args.seed},
+        "inputs": inputs,
         "outputs": {"checked": len(verdicts), "failed": len(failed)},
         "verdicts": verdicts,
     }
@@ -465,8 +476,15 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
                    help="write the report to this path instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line with one stderr line and exit 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INVALID, f"invalid parameters: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geostab",
         description="Geodesic stability of hypercube colourings: engines, witnesses, bounds, sweeps.",
     )
@@ -495,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a claim suite", parents=[common])
     p.add_argument("--suite", required=True, choices=sorted(_SUITES))
     p.add_argument("--max-n", dest="max_n", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="random draws of the oracle and zigzag suites "
+                   "(default 0)")
 
     p = sub.add_parser("search", help="exhaustive minimisation sweep", parents=[common])
     p.add_argument("--n", type=int, required=True)

@@ -17,11 +17,20 @@ time, in blocks of rows, and a row S without i is in the layer before
 S, so only two layers are live, each at most C(n, n//2) rows, stored by
 rank within the layer.  A geodesic from s ends at ~s, so start and end
 constraints filter the starts, and its reversal, from ~s, has the same
-jumps: inst fills the ends of the starts below 2^(n-1), in two layers of
-2 * C(n, n//2) * 2^(n-1) bytes (14 MB at n = 13, 56 MB at n = 14), and
-winst those of the well-ending starts, at most 2 * C(n, n//2) * C(n, t+1)
-bytes.  The values are in the last layer, the full set.  A witness
+jumps: inst reads the starts below 2^(n-1), and winst the well-ending
+starts.  The values are in the last layer, the full set.  A witness
 descends through the column of its one end, refilled alone, 2^n bytes.
+
+A single colouring fills fewer columns still.  A swap of two coordinates
+that fixes f maps geodesics to geodesics with the same jumps, start
+weight and start and end colours, so the engines keep one start per orbit
+of the swaps, the least; and since no geodesic makes more than n jumps,
+a probe of the first 2^(n//2) kept starts that reaches n ends the fill.
+The layers therefore take at most 2 * C(n, n//2) * 2^(n-1) bytes for inst
+(14 MB at n = 13, 56 MB at n = 14) and 2 * C(n, n//2) * C(n, t+1) for
+winst: bounds that an input with no swap symmetry and value below n meets,
+while the majority and partition colourings keep a few hundred starts at
+most.  The batch kernels score every start of every row.
 
 A literal brute-force enumerator over all starts and flip permutations is
 kept as an independent oracle for cross-checking at tiny dimensions.
@@ -74,9 +83,12 @@ def dimension_cap(explicit: Optional[int] = None) -> int:
 
     Passing ``cap`` explicitly (or setting the environment variable) is the
     acknowledgement that the DP layers fit in memory: two popcount layers,
-    2 * C(n, n//2) * 2^(n-1) bytes for inst (14 MB at n = 13, 56 MB at
-    n = 14) and at most 2 * C(n, n//2) * C(n, t+1) bytes for winst at
-    radius t, times the number of colourings scored together.
+    at most 2 * C(n, n//2) * 2^(n-1) bytes for inst (14 MB at n = 13, 56 MB
+    at n = 14) and at most 2 * C(n, n//2) * C(n, t+1) bytes for winst at
+    radius t, times the number of colourings scored together.  A single
+    colouring reaches these bounds only without swap symmetry and with a
+    value below n: its layers hold one start per orbit of the coordinate
+    swaps that fix it, and stop at a probe of 2^(n//2) starts that reaches n.
     """
     if explicit is not None:
         return explicit
@@ -226,22 +238,69 @@ def _reconstruct(column: np.ndarray, table: np.ndarray, n: int, start: int) -> t
     return tuple(order)
 
 
+def _swap_blocks(table: np.ndarray, n: int) -> list[list[int]]:
+    """The bit positions 0..n-1 joined into blocks, each ascending, by the
+    transpositions of coordinates that fix the colouring.  Such a swap keeps
+    the count of 1-points with the bit set, so only pairs of equal count are
+    tested, on the table as an n-axis array where bit i is axis n-1-i; and
+    (a c) = (a b)(b c)(a b), so a pair already in one block needs no test."""
+    T = table.reshape((2,) * n)
+    counts = [int(T.take(1, axis=n - 1 - i).sum()) for i in range(n)]
+    parent = list(range(n))
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (counts[a] == counts[b] and root(a) != root(b)
+                    and np.array_equal(T, T.swapaxes(n - 1 - a, n - 1 - b))):
+                parent[root(b)] = root(a)
+    blocks: dict[int, list[int]] = {}
+    for a in range(n):
+        blocks.setdefault(root(a), []).append(a)
+    return list(blocks.values())
+
+
+def _orbit_least(starts: np.ndarray, blocks: list[list[int]]) -> np.ndarray:
+    """The ``starts`` that are least in their orbit under the swaps within
+    ``blocks``: in each block their 1-bits sit in the lowest positions."""
+    keep = np.ones(len(starts), dtype=bool)
+    for block in blocks:
+        for p, q in zip(block, block[1:]):
+            keep &= (starts >> q & 1) <= (starts >> p & 1)
+    return starts[keep]
+
+
 def _best_start(
     f: Colouring, starts: np.ndarray, mode: str, t_used: Optional[int]
 ) -> InstabilityReport:
     """Report the first start of maximum value among ``starts`` with its
-    witness, or a None report when ``starts`` is empty."""
+    witness, or a None report when ``starts`` is empty.
+
+    Only the starts least in their orbit under the swaps that fix f are
+    filled, and none after a probe that reaches n.  This is exact when the
+    first maximal start is one of them: ``starts`` closed under the swaps,
+    or inst's starts below 2^(n-1), which by reversal hold the first
+    maximal start of the whole cube."""
+    n = f.n
+    table = f.table()
+    starts = _orbit_least(starts, _swap_blocks(table, n))
     if starts.size == 0:
         return InstabilityReport(mode=mode, value=None, witness=None, t_used=t_used)
-    table = f.table()
-    top = _start_values(table[None], f.n, starts)
-    i = int(np.argmax(top[0]))
+    probe = 1 << (n // 2)
+    top = _start_values(table[None], n, starts[:probe])[0]
+    if top.max() < n and starts.size > probe:
+        top = np.concatenate((top, _start_values(table[None], n, starts[probe:])[0]))
+    i = int(np.argmax(top))
     start = int(starts[i])
-    order = _reconstruct(_end_column(table, f.n, ((1 << f.n) - 1) ^ start), table, f.n, start)
+    order = _reconstruct(_end_column(table, n, ((1 << n) - 1) ^ start), table, n, start)
     return InstabilityReport(
         mode=mode,
-        value=int(top[0, i]),
-        witness=Geodesic(Point(f.n, start), order),
+        value=int(top[i]),
+        witness=Geodesic(Point(n, start), order),
         t_used=t_used,
     )
 

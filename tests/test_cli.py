@@ -383,12 +383,32 @@ def test_spec_file_table_that_is_not_hex_text_exit_2(tmp_path, capsys, document)
 
 @pytest.mark.parametrize(
     "args", [["inst", "--seed", "1", "--kind", "majority", "--n", "5", "--t", "1", "--k", "3"],
-             ["--seed", "9", "bounds", "--n", "5"], ["search", "--n", "4", "--t", "1", "--seed", "2"]]
+             ["--seed", "9", "bounds", "--n", "5"], ["search", "--n", "4", "--t", "1", "--seed", "2"],
+             ["bounds", "--n", "5", "--t", "x"]]
 )
 def test_seed_outside_verify_exit_2(capsys, args):
+    # argparse refusals, like every other refusal, are one stderr line
     with pytest.raises(SystemExit) as exc:
         main(args)
-    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("invalid parameters: ")
+
+
+@pytest.mark.parametrize("suite", ["majo", "block", "conjecture"])
+def test_verify_seed_refused_by_suites_that_draw_nothing(capsys, suite):
+    err = _assert_refused(main(["verify", "--suite", suite, "--seed", "9"]), capsys)
+    assert suite in err and "--seed" in err
+    code, report = run_json(["verify", "--suite", suite, "--max-n", "3"], capsys)
+    assert code == 0 and report["inputs"] == {"suite": suite, "max_n": 3}
+
+
+@pytest.mark.parametrize("suite, checked", [("majo", 231), ("block", 44)])
+def test_verify_optimality_suites_at_the_cap(capsys, suite, checked):
+    # every maj_t(k) and balanced b_t^k grid up to n = 13 through the CLI
+    code, report = run_json(["verify", "--suite", suite, "--max-n", "13"], capsys)
+    assert code == 0 and report["outputs"] == {"checked": checked, "failed": 0}
 
 
 def test_verify_seed_reaches_the_suite(monkeypatch, capsys):

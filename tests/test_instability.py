@@ -8,8 +8,11 @@ import pytest
 
 from geostab.colourings import (
     ColouringSpec,
+    balanced_partition,
     free_point_codes,
+    majority_grid,
     make,
+    partition_grid,
     table_from_free_layers,
 )
 from geostab.errors import CapacityError, UndefinedRadiusError, ValidationError
@@ -363,9 +366,11 @@ def test_geodesic_reversal_gives_complementary_starts_one_value(B):
         assert (top == top[::-1]).all()
 
 
-def _traced_peak(engine):
-    """Peak traced allocation of one engine call at n = 12."""
-    f = random_colouring(12, 2, seed=3, exact_tf=True)
+def _traced_peak(engine, f=None):
+    """Peak traced allocation of one engine call at n = 12, by default on a
+    seeded random colouring."""
+    if f is None:
+        f = random_colouring(12, 2, seed=3, exact_tf=True)
     engine(f)  # the layer tables are cached on the first call
     tracemalloc.start()
     try:
@@ -390,6 +395,15 @@ def test_inst_memory_is_two_layers():
     # two layers of 924 rows by 2048 columns are 0.23 * 4^12 bytes; the
     # whole column-restricted table, 4^12 / 2, does not fit under the bound
     assert _traced_peak(inst_exact) < 0.4 * 4**12
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_symmetric_inst_fills_few_columns(k):
+    # maj_2(k) is fixed by every swap among its first k coordinates and among
+    # the rest, so at most (k+1)(13-k) <= 48 starts are least in their orbit;
+    # the peak is the colour gather, far below two layers of 2048 columns
+    f = make(ColouringSpec(kind="majority", n=12, t=2, k=k))
+    assert _traced_peak(inst_exact, f) < 4**12 / 16
 
 
 def _lex_least_optimal(f, admissible):
@@ -441,3 +455,154 @@ def test_witnesses_are_lex_least_optimal():
                     lambda s: weight(Point(n, s)) == t + 1
                     and (table[s] == 1 or table[s ^ full] == 0),
                 )
+
+
+# ---------------------------------------------------------------------------
+# swap blocks and the orbit filter of the single-colouring engines
+# ---------------------------------------------------------------------------
+
+
+def _fixed_by_swap(table, n, a, b):
+    """Literal check that swapping bits a and b of every point fixes f."""
+    x = np.arange(1 << n)
+    moved = ((x >> a) ^ (x >> b)) & 1
+    return bool((table[x ^ moved * ((1 << a) | (1 << b))] == table).all())
+
+
+def _aqj(n, t, s, j):
+    """a^Q_j with the coordinates dealt round-robin into s+1 blocks."""
+    blocks = tuple(tuple(range(i + 1, n + 1, s + 1)) for i in range(s + 1))
+    return make(ColouringSpec(kind="aqj", n=n, t=t, s=s, j=j, partition=blocks))
+
+
+def _symmetric_colourings(n):
+    """Every maj_t(k) (each tie rule), balanced b_t^k and round-robin a^Q_j
+    of dimension n."""
+    fs = []
+    for m, t, k in majority_grid(n):
+        if m == n:
+            for tie in ("first-entry", "zero", "one") if k % 2 == 0 else (None,):
+                fs.append(make(ColouringSpec(kind="majority", n=n, t=t, k=k, tie=tie)))
+    for m, t, k in partition_grid(n):
+        if m == n:
+            fs.append(make(ColouringSpec(kind="partition", n=n, t=t, k=k,
+                                         partition=balanced_partition(n, t, k))))
+    for t in range(n):
+        for s in range(n // (t + 1)):
+            fs += [_aqj(n, t, s, j) for j in (0, 1)]
+    return fs
+
+
+def _perturbed(f, rng, flips):
+    """The table of f with ``flips`` seeded points outside its radius balls
+    flipped: most of its swap symmetry is gone."""
+    table = f.table().copy()
+    free = free_point_codes(f.n, max(f.t_f, 0))
+    table[rng.choice(free, size=min(flips, len(free)), replace=False)] ^= 1
+    return make(ColouringSpec(kind="table", n=f.n, table=table.tobytes()))
+
+
+def test_swap_blocks_match_brute_force_transpositions():
+    from geostab.instability import _swap_blocks
+
+    rng = np.random.default_rng(19)
+    tied_but_not_fixed = 0
+    for n in range(1, 7):
+        fs = _symmetric_colourings(n)
+        fs += [_perturbed(f, rng, 2) for f in fs[:4]]
+        fs += [make(ColouringSpec(kind="table", n=n, table=b.tobytes()))
+               for b in rng.integers(0, 2, size=(6, 1 << n)).astype(np.uint8)]
+        # 1 at e_1 and at the all-ones point less e_1: every coordinate has
+        # one 1-point, but only the swaps among coordinates 2..n fix it
+        edge = np.zeros(1 << n, dtype=np.uint8)
+        edge[[1, (1 << n) - 2]] = 1
+        fs.append(make(ColouringSpec(kind="table", n=n, table=edge.tobytes())))
+        for f in fs:
+            table = f.table()
+            counts = [int(table[np.arange(1 << n) >> i & 1 == 1].sum()) for i in range(n)]
+            fixes = {(a, b): _fixed_by_swap(table, n, a, b)
+                     for a in range(n) for b in range(a + 1, n)}
+            tied_but_not_fixed += sum(counts[a] == counts[b] and not ok
+                                      for (a, b), ok in fixes.items())
+            # the components of the fixing transpositions, and each of them
+            # closed: every pair inside one block fixes f
+            component = list(range(n))
+            for (a, b), ok in fixes.items():
+                if ok:
+                    old, new = component[b], component[a]
+                    component = [new if c == old else c for c in component]
+            want = sorted(sorted(a for a in range(n) if component[a] == c) for c in set(component))
+            got = _swap_blocks(table, n)
+            assert sorted(got) == want, (f.spec, got, want)
+            assert all(fixes[a, b] for block in got for a, b in itertools.combinations(block, 2))
+    assert tied_but_not_fixed >= 20
+
+
+def _unreduced(f, starts):
+    """The first start of maximum value among all of ``starts`` and its
+    witness flip order, from one fill of every start: no orbit filter and no
+    early stop."""
+    from geostab.instability import _end_column, _reconstruct, _start_values
+
+    if starts.size == 0:
+        return None, None, None
+    n, table = f.n, f.table()
+    top = _start_values(table[None], n, starts)[0]
+    i = int(np.argmax(top))
+    start = int(starts[i])
+    order = _reconstruct(_end_column(table, n, ((1 << n) - 1) ^ start), table, n, start)
+    return int(top[i]), start, order
+
+
+def _report_triple(rep):
+    if rep.witness is None:
+        return rep.value, None, None
+    return rep.value, rep.witness.start.code, rep.witness.flip_order
+
+
+def _reduction_cases(n, rng):
+    """One colouring of each family at dimension n: majority, partition
+    (when some b_t^k fits), a^Q_j, a random table, a seeded colouring with
+    canonical balls and a perturbed majority colouring."""
+    t = (n - 1) // 2
+    maj_f = make(ColouringSpec(kind="majority", n=n, t=t, k=int(rng.integers(1, 2 * t + 2))))
+    fs = [maj_f, _aqj(n, t // 2, n // (t // 2 + 1) - 1, int(rng.integers(2)))]
+    fs += [make(ColouringSpec(kind="partition", n=n, t=pt, k=pk,
+                              partition=balanced_partition(n, pt, pk)))
+           for m, pt, pk in partition_grid(n) if m == n][-1:]
+    fs.append(make(ColouringSpec(kind="table", n=n,
+                                 table=rng.integers(0, 2, 1 << n).astype(np.uint8).tobytes())))
+    free = free_point_codes(n, t)
+    fs.append(table_from_free_layers(n, t, rng.integers(0, 2, size=len(free))))
+    fs.append(_perturbed(maj_f, rng, 3))
+    return fs
+
+
+def test_orbit_filter_and_early_stop_match_unreduced_fill():
+    rng = np.random.default_rng(23)
+    for n in range(1, 10):
+        full = (1 << n) - 1
+        starts = np.arange(1 << n)
+        for f in _reduction_cases(n, rng):
+            table = f.table()
+            assert _report_triple(inst_exact(f)) == _unreduced(f, starts[: 1 << (n - 1)])
+            if f.t_f >= 0:
+                t = f.t_f
+                ok = (weights_vector(n) == t + 1) & ((table == 1) | (table[::-1] == 0))
+                assert _report_triple(winst_exact(f)) == _unreduced(f, starts[ok])
+            for w0 in range(n + 1):
+                for sc in (None, 0, 1):
+                    for ec in (None, 0, 1):
+                        ok = ((weights_vector(n) == w0) & (sc is None or table == sc)
+                              & (ec is None or table[starts ^ full] == ec))
+                        rep = inst_restricted(f, w0, start_colour=sc, end_colour=ec)
+                        assert _report_triple(rep) == _unreduced(f, starts[ok]), (
+                            f.spec, w0, sc, ec)
+
+
+def test_symmetric_colourings_match_bruteforce_oracle():
+    # the seeded oracle tests draw random colourings, which almost never have
+    # a swap symmetry for the orbit filter to use
+    for n in range(1, 7):
+        for f in _symmetric_colourings(n):
+            assert inst_exact(f).value == inst_bruteforce(f), f.spec
