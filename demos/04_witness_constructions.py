@@ -26,7 +26,7 @@ from geostab import (
 
 # --- majority: a (t+1)-geodesic with 2t+1 jumps, ending in colour 0 --------
 f = make(ColouringSpec(kind="majority", n=7, t=3, k=3))
-res = majority_witness(7, 3, 3, f)
+res = majority_witness(f)
 print("majority witness:", geodesic_to_text(res.geodesic))
 print(f"  guaranteed {res.guaranteed_jumps}, actual {construction_jumps(f, res)}")
 print("  last point colour:", f.evaluate(expand(res.geodesic)[-1]))

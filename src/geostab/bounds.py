@@ -76,18 +76,6 @@ def zigzag_inst_formula(n: int, t: int) -> int:
     return (t - 1) // gap + _ceil_div(t - 1, gap) + 3
 
 
-def one_strip_alternate_lb(t: int) -> int:
-    """The summary-form one-strip bound t+2+(t+1 mod 2) for t >= 1.
-
-    Documented alternate only: the proved statement is t+3 for t >= 2
-    (``one_strip`` field of the table), with the t=1 value 3 coming from
-    the small-case base table instead.
-    """
-    if t < 1:
-        raise ValidationError("alternate one-strip bound needs t >= 1")
-    return t + 2 + (t + 1) % 2
-
-
 def stronger_lb(t: int, t0: int, y0: int) -> int:
     """One-strip chain step: winst(2t+2, t) >= y0 + t - t0 from winst(2t0+2, t0) >= y0."""
     if t0 < 0 or t < t0:

@@ -224,7 +224,7 @@ def _cmd_witness(args) -> tuple[dict, int]:
         args.kind = kind
     f = _colouring_from_args(args)
     if kind == "majority":
-        result = majority_witness(f.n, f.spec.t, f.spec.k, f)
+        result = majority_witness(f)
     elif kind == "partition":
         result = partition_witness(f)
     elif kind == "zigzag":

@@ -147,59 +147,49 @@ def _maj_base_order(m: int, t: int) -> tuple[int, list[int]]:
     return start, _interleave(downs, ups)
 
 
-def _maj_recurse(m: int, t: int, k: int, eval_local) -> tuple[int, list[int]]:
+def _maj_recurse(m: int, t: int, k: int) -> tuple[int, list[int]]:
     """Returns (start code, flip order) in the local m-dimensional frame.
 
-    ``eval_local`` evaluates the target colouring at a local code.  The
-    recursion pins prefix entries k-1 and k to 0 and 1 (not entries 1 and 2:
+    The recursion pins prefix entries k-1 and k to 0 and 1 (not entries 1 and 2:
     keeping entry 1 free preserves the first-entry tie rule, and with it the
     complementary-prefix condition the even-k induction leans on) and treats
     the remaining coordinates as the (m-2)-cube carrying the (t-1, k-2) case.
+
+    The proof extends the sub-witness at whichever end the colour of its first
+    point dictates, and at k = 2 orders the base flips by the colour of
+    1 0^t 1^(t-1) 0^(m-2t).  In maj_t(k) neither choice is open: each lift
+    adds a 0 and a 1 to the prefix and the base start opens with ones, so
+    every lifted start has weight t+1 with a strict majority of ones among
+    the first k entries (colour 1), and the k = 2 point has weight t (colour
+    0).  The two new points, entry k-1 raised then entry k cleared, always
+    go at the end.
     """
     if k <= 2:
-        start, order = _maj_base_order(m, t)
-        if k == 2:
-            dispatch = 1 | (((1 << (t - 1)) - 1) << (t + 1))  # 1 0^t 1^{t-1} 0^{m-2t}
-            if eval_local(dispatch) != 0:
-                order = [{1: 2, 2: 1}.get(c, c) for c in order]
-        return start, order
-
+        return _maj_base_order(m, t)
+    sub_start, sub_order = _maj_recurse(m - 2, t - 1, k - 2)
     low_mask = (1 << (k - 2)) - 1
-
-    def lift(code: int) -> int:
-        return (code & low_mask) | ((code >> (k - 2)) << k) | (1 << (k - 1))
-
-    sub_start, sub_order = _maj_recurse(
-        m - 2, t - 1, k - 2, lambda code: eval_local(lift(code))
-    )
-    start = lift(sub_start)
+    start = (sub_start & low_mask) | ((sub_start >> (k - 2)) << k) | (1 << (k - 1))
     order = [c if c <= k - 2 else c + 2 for c in sub_order]
-    if eval_local(start) == 1:
-        # append y' (entry k-1 raised into the far ball) and y''
-        return start, order + [k - 1, k]
-    # prepend a'' = start with entries k-1, k swapped to 1, 0, then a'
-    start0 = (start ^ (1 << (k - 1))) | (1 << (k - 2))
-    return start0, [k, k - 1] + order
+    return start, order + [k - 1, k]
 
 
-def majority_witness(n: int, t: int, k: int, f: Colouring) -> ConstructionResult:
+def majority_witness(f: Colouring) -> ConstructionResult:
     """A (t+1)-geodesic with at least 2t+1 jumps in maj_t(k), ending in colour 0.
 
-    Built by the proof's recursion on k: the subcube fixing entry 1 = 0 and
-    entry 2 = 1 carries maj_{t-1}(k-2), whose witness is extended by two
-    points at whichever end the colour of its first point dictates.  ``f``
-    must be a majority colouring; the guarantee covers the "first-entry" and
-    "one" tie rules of even k, and the "zero" rule is refused.
+    n, t and k are read from ``f.spec``.  Built by the proof's recursion on
+    k: the subcube fixing entry k-1 = 0 and entry k = 1 carries
+    maj_{t-1}(k-2), whose witness is always extended by two points at its
+    end.  The guarantee covers the "first-entry" and "one" tie rules of
+    even k, and the "zero" rule is refused.
     """
     if f.spec.kind != "majority":
         raise ValidationError(f"expected a majority colouring, got kind {f.spec.kind!r}")
     if f.spec.tie == "zero":
         raise ValidationError("the majority witness does not cover the tie rule 'zero'")
-    if not (0 < k <= 2 * t + 1 <= n):
-        raise ValidationError(f"need 0 < k <= 2t+1 <= n, got k={k}, t={t}, n={n}")
-    if f.n != n:
-        raise ValidationError(f"colouring dimension {f.n} does not match n={n}")
-    start, order = _maj_recurse(n, t, k, lambda code: f.table()[code])
+    n, t, k = f.n, f.spec.t, f.spec.k
+    if k > 2 * t + 1:
+        raise ValidationError(f"need k <= 2t+1, got k={k}, t={t}")
+    start, order = _maj_recurse(n, t, k)
     g = Geodesic(Point(n, start), tuple(order))
     return ConstructionResult(g, 2 * t + 1, f"majority witness, n={n}, t={t}, k={k}")
 
@@ -261,7 +251,7 @@ def strip_reduction(f: Colouring, mode: str) -> Colouring:
     return make(ColouringSpec(kind="table", n=n - drop, table=table.tobytes()))
 
 
-def _require_inner(inner: Geodesic, g: Colouring, want_weight: int) -> tuple[int, int, int, int]:
+def _require_inner(inner: Geodesic, g: Colouring, want_weight: int) -> tuple[int, int, int]:
     if inner.n != g.n:
         raise ValidationError(
             f"inner witness dimension {inner.n} does not match the reduced cube {g.n}"
@@ -272,10 +262,10 @@ def _require_inner(inner: Geodesic, g: Colouring, want_weight: int) -> tuple[int
             f"inner witness must start at weight {want_weight}, got {a.bit_count()}"
         )
     z = a ^ ((1 << inner.n) - 1)
-    ga, gz = int(g.table()[a]), int(g.table()[z])
-    if not (ga == 1 or gz == 0):
+    ga = int(g.table()[a])
+    if not (ga == 1 or g.table()[z] == 0):
         raise ValidationError("inner witness is not well-ending for the reduced colouring")
-    return a, z, ga, gz
+    return a, z, ga
 
 
 def strip_extend(f: Colouring, inner_witness: ConstructionResult, mode: str) -> ConstructionResult:
@@ -294,7 +284,7 @@ def strip_extend(f: Colouring, inner_witness: ConstructionResult, mode: str) -> 
     table = f.table()
 
     if mode == "one_strip":
-        a, z, ga, gz = _require_inner(inner, g, t)
+        a, _, ga = _require_inner(inner, g, t)
         lifted_order = [c + 2 for c in inner.flip_order]
         if ga == 1:
             start = (a << 2) | 0b01  # 10a, 00a, 01a, ... lifted inner
@@ -311,7 +301,7 @@ def strip_extend(f: Colouring, inner_witness: ConstructionResult, mode: str) -> 
         return ConstructionResult(geo, guaranteed, notes)
 
     w = n - 2 * t
-    a, z, ga, gz = _require_inner(inner, g, (t - w) + 1)
+    a, z, ga = _require_inner(inner, g, (t - w) + 1)
     pattern = ((1 << w) - 1) << w
     lifted_order = [c + 2 * w for c in inner.flip_order]
     if ga == 1:
@@ -342,20 +332,14 @@ def strip_extend(f: Colouring, inner_witness: ConstructionResult, mode: str) -> 
 
 
 def prefix_colouring(f: Colouring, k: int) -> Colouring:
-    """The induced colouring of the first k entries: pad with t+1 ones then zeros."""
+    """The induced colouring of the first k entries: the colour of each prefix
+    padded with ones up to weight t+1 (with zeros once it is that heavy), a
+    point outside both t-balls whenever k < n-2t."""
     t = f.t_f
-    ones_mask = ((1 << (t + 1)) - 1) << k
-    codes = np.arange(1 << k, dtype=np.int64) | ones_mask
+    extra = np.maximum(0, t + 1 - weights_vector(k).astype(np.int64))
+    codes = np.arange(1 << k, dtype=np.int64) | (((1 << extra) - 1) << k)
     table = f.table()[codes]
     return make(ColouringSpec(kind="table", n=k, table=table.tobytes()))
-
-
-def _outside_prefix_value(f: Colouring, prefix_code: int, k: int) -> int:
-    """Colour shared by all outside-ball points with the given first k entries."""
-    t = f.t_f
-    extra = max(0, t + 1 - prefix_code.bit_count())
-    code = prefix_code | (((1 << extra) - 1) << k)
-    return int(f.table()[code])
 
 
 def _escape_geodesic(n: int, t: int, k: int) -> Geodesic:
@@ -423,11 +407,14 @@ def kdefined_witness(
     """Well-ending (t+1)-geodesic for a colouring defined by its first k entries.
 
     If the induced prefix colouring takes the wrong colour at a pole, the
-    escape path already jumps 2t+2 times.  Otherwise a prefix witness (the
-    exact winst witness of the induced colouring unless one is supplied) is
-    lifted: 2(t-s) boundary jumps are prepended, the prefix flips replay the
-    witness against a frozen suffix, and the leftover suffix zeros are spent
-    at the end.
+    escape path already jumps 2t+2 times.  It promises only 2t+1 when 0^k
+    is coloured 1, 1^k is coloured 0 and k = n-2t-1: no suffix coordinate
+    is left after the oscillation, and the prefix flips may stay in colour
+    0 to the end.  Otherwise a prefix witness (the exact winst witness of
+    the induced colouring unless one is supplied) is lifted: 2(t-s)
+    boundary jumps are prepended, the prefix flips replay the witness
+    against a frozen suffix, and the leftover suffix zeros are spent at the
+    end.
     """
     t = f.t_f
     if t < 0:
@@ -438,16 +425,16 @@ def kdefined_witness(
     if not is_defined_by(f, range(1, k + 1)):
         raise ValidationError("colouring is not defined by its first k entries")
 
-    F0 = _outside_prefix_value(f, 0, k)
-    F1 = _outside_prefix_value(f, (1 << k) - 1, k)
+    fp = prefix_colouring(f, k)
+    F0, F1 = fp.table()[0], fp.table()[-1]
     if F0 == 1:
         geo = _escape_geodesic(n, t, k)
-        return ConstructionResult(geo, 2 * t + 2, f"escape path, prefix 0^{k} coloured 1")
+        guaranteed = 2 * t + 1 if F1 == 0 and k == n - 2 * t - 1 else 2 * t + 2
+        return ConstructionResult(geo, guaranteed, f"escape path, prefix 0^{k} coloured 1")
     if F1 == 0:
         geo = reverse(complement(_escape_geodesic(n, t, k)))
         return ConstructionResult(geo, 2 * t + 2, f"escape path, prefix 1^{k} coloured 0")
 
-    fp = prefix_colouring(f, k)
     s = fp.t_f
     if prefix_witness is None:
         prefix_witness = winst_exact(fp).witness

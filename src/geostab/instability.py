@@ -319,7 +319,6 @@ def inst_restricted(
     start_weight: int,
     start_colour: Optional[int] = None,
     end_colour: Optional[int] = None,
-    cap: Optional[int] = None,
 ) -> InstabilityReport:
     """Maximum jumps over geodesics with a fixed start weight and optional
     start/end colour constraints; value None when no geodesic qualifies.
@@ -328,7 +327,7 @@ def inst_restricted(
     """
     if not (0 <= start_weight <= f.n):
         raise ValidationError(f"start weight {start_weight} out of range [0, {f.n}]")
-    _check_cap(f.n, cap)
+    _check_cap(f.n, None)
     table = f.table()
     starts = np.nonzero(weights_vector(f.n) == start_weight)[0]
     if start_colour is not None:
@@ -389,17 +388,15 @@ def inst_bruteforce(f: Colouring) -> int:
     return best
 
 
-def inst_values_batch(tables: np.ndarray, n: int, cap: Optional[int] = None) -> np.ndarray:
+def inst_values_batch(tables: np.ndarray, n: int) -> np.ndarray:
     """inst(f) for every row of a (B, 2^n) colour-table batch."""
-    _check_cap(n, cap)
+    _check_cap(n, None)
     return _start_values(tables, n, np.arange(1 << (n - 1))).max(axis=1).astype(np.int16)
 
 
-def winst_values_batch(
-    tables: np.ndarray, n: int, t: int, cap: Optional[int] = None
-) -> np.ndarray:
+def winst_values_batch(tables: np.ndarray, n: int, t: int) -> np.ndarray:
     """winst(f) for every row; rows are assumed to respect the radius-t balls."""
-    _check_cap(n, cap)
+    _check_cap(n, None)
     starts, ok = _well_ending_starts(tables, n, t)
     vals = np.where(ok, _start_values(tables, n, starts), np.int8(-1))
     return vals.max(axis=1).astype(np.int16)

@@ -153,7 +153,7 @@ def test_criterion_7_construction_contracts():
     bad = []
     for n, t, k in majority_grid(MAX_N):
         f = make(ColouringSpec(kind="majority", n=n, t=t, k=k))
-        res = majority_witness(n, t, k, f)
+        res = majority_witness(f)
         pts = expand(res.geodesic)
         if not (
             is_geodesic(pts)

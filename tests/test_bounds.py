@@ -8,7 +8,6 @@ from geostab.bounds import (
     formula_bounds,
     known_exact_value,
     morestrips_lb,
-    one_strip_alternate_lb,
     stronger_lb,
     zigzag_inst_formula,
     zigzag_winst_formula,
@@ -69,15 +68,12 @@ def test_two_strip_corollary_matches_chains():
         assert best_lower_bound(n, t, "winst").value >= cor
 
 
-def test_one_strip_bound_and_alternate():
+def test_one_strip_bound():
     for t in range(2, 10):
         assert formula_bounds(2 * t + 2, t).one_strip_lb == t + 3
         assert best_lower_bound(2 * t + 2, t, "winst").value >= t + 3
     assert formula_bounds(4, 1).one_strip_lb is None
     assert best_lower_bound(4, 1, "winst").value == 3  # l:base via the base table
-    assert one_strip_alternate_lb(1) == 3
-    assert one_strip_alternate_lb(2) == 5
-    assert one_strip_alternate_lb(3) == 5
 
 
 def test_known_exact_values():

@@ -67,6 +67,10 @@ _MAJ_7_2_4 = {"kind": "majority", "n": 7, "t": 2, "k": 4, "tie": "one"}
           "--n", "9", "--t", "3", "--k", "7"], None),
         (["--construction", "kdefined", "--kind", "majority", "--n", "7", "--t", "2", "--k", "1"],
          None),
+        # k = n-2t-1 with 0^k coloured 1 and 1^k coloured 0: the escape path
+        # promises 2t+1 = 3 jumps, the most any well-ending geodesic makes
+        (["--construction", "kdefined", "--k", "1", "--kind", "table", "--n", "4",
+          "--table", "fcc0"], None),
     ],
 )
 def test_witness_constructions(tmp_path, capsys, args, colouring):
@@ -113,6 +117,46 @@ def test_bounds_csv_rows(capsys):
     expected = sum((n - 1) // 2 + 1 for n in range(3, 12))
     assert len(rows) == expected
     assert {"n", "t", "k", "mode", "value", "witness"} == set(rows[0])
+
+
+@pytest.mark.parametrize(
+    "args, row",
+    [
+        (["inst", "--kind", "majority", "--n", "5", "--t", "1", "--k", "3"],
+         {"n": "5", "t": "1", "k": "3", "mode": "inst", "value": "3"}),
+        (["winst", "--kind", "majority", "--n", "6", "--t", "2", "--k", "5"],
+         {"n": "6", "t": "2", "k": "5", "mode": "winst", "value": "5"}),
+        (["witness", "--construction", "majority", "--n", "6", "--t", "2", "--k", "3"],
+         {"n": "6", "t": "2", "k": "3", "mode": "majority", "value": "5"}),
+        (["search", "--n", "4", "--t", "1", "--mode", "winst"],
+         {"n": "4", "t": "1", "k": "", "mode": "search-winst", "value": "3", "witness": ""}),
+        (["verify", "--suite", "conjecture", "--max-n", "3"],
+         {"n": "", "t": "", "k": "", "mode": "inst(2,0) = 1", "value": "1", "witness": ""}),
+    ],
+)
+def test_csv_rows_per_command(capsys, args, row):
+    code, out = run_cli(["--format", "csv", *args], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert {k: v for k, v in rows[0].items() if k in row} == row
+    _, report = run_json(args, capsys)
+    if args[0] == "verify":
+        assert [r["mode"] for r in rows] == [v["claim"] for v in report["verdicts"]]
+    else:
+        assert len(rows) == 1
+        assert rows[0]["witness"] == (report["outputs"].get("witness") or "")
+
+
+def test_verify_zigzag_suite_passes_and_repeats(capsys):
+    args = ["verify", "--suite", "zigzag", "--max-n", "6", "--seed", "3"]
+    code, report = run_json(args, capsys)
+    assert code == 0
+    assert report["outputs"] == {"checked": 6, "failed": 0}
+    assert all(v["status"] == "pass" for v in report["verdicts"])
+    _, again = run_json(args, capsys)
+    report.pop("timing")
+    again.pop("timing")
+    assert again == report
 
 
 def test_bounds_single_pair(capsys):

@@ -22,8 +22,8 @@ from geostab.constructions import (
     zigzag_witness,
 )
 from geostab.errors import UndefinedRadiusError, ValidationError
-from geostab.hypercube import expand, is_geodesic, weight, weights_vector
-from geostab.instability import inst_exact, winst_exact
+from geostab.hypercube import Geodesic, Point, expand, is_geodesic, weight, weights_vector
+from geostab.instability import winst_exact, winst_values_batch
 from geostab.search import random_colouring
 
 
@@ -114,7 +114,7 @@ def test_zigzag_errors():
 
 def test_majority_witness_base_path_k1():
     f = maj(4, 1, 1)
-    res = majority_witness(4, 1, 1, f)
+    res = majority_witness(f)
     pts = [p.bit_string() for p in expand(res.geodesic)]
     assert pts == ["1100", "1000", "1010", "0010", "0011"]
     assert construction_jumps(f, res) == 3
@@ -123,12 +123,12 @@ def test_majority_witness_base_path_k1():
 
 def test_majority_witness_examples():
     f = maj(6, 2, 2)
-    res = majority_witness(6, 2, 2, f)
+    res = majority_witness(f)
     pts, actual = _check(f, res, min_jumps=5)
     assert weight(pts[0]) == 3
 
     f = maj(7, 3, 3)
-    res = majority_witness(7, 3, 3, f)
+    res = majority_witness(f)
     pts, actual = _check(f, res, min_jumps=7)
     assert weight(pts[0]) == 4
     assert f.evaluate(pts[-1]) == 0
@@ -142,20 +142,21 @@ def test_majority_witness_grid(tie):
                 f = maj(n, t, k, tie=None if k % 2 else tie)
                 if f.spec.tie == "zero":
                     with pytest.raises(ValidationError, match="tie rule"):
-                        majority_witness(n, t, k, f)
+                        majority_witness(f)
                     continue
-                res = majority_witness(n, t, k, f)
+                res = majority_witness(f)
                 pts, _ = _check(f, res, min_jumps=2 * t + 1)
                 assert weight(pts[0]) == t + 1
                 assert f.evaluate(pts[-1]) == 0
 
 
 def test_majority_witness_validation():
-    f = maj(5, 1, 3)
-    with pytest.raises(ValidationError):
-        majority_witness(5, 1, 4, f)  # k > 2t+1
-    with pytest.raises(ValidationError):
-        majority_witness(6, 1, 3, f)  # dimension mismatch
+    with pytest.raises(ValidationError, match="k <= 2t\\+1"):
+        majority_witness(maj(5, 1, 4))
+    with pytest.raises(ValidationError, match="tie rule"):
+        majority_witness(maj(5, 1, 2, tie="zero"))
+    with pytest.raises(ValidationError, match="majority"):
+        majority_witness(make(ColouringSpec(kind="constant", n=3, j=0)))
 
 
 # --- partition -------------------------------------------------------------
@@ -237,6 +238,25 @@ def test_multi_strip_examples():
         pts, _ = _check(f, res)
         assert weight(pts[0]) == t + 1
         assert f.evaluate(pts[0]) == 1 or f.evaluate(pts[-1]) == 0
+
+
+def test_one_strip_random_colourings():
+    # both sides of the extension, each with and without the final reversal
+    seen = set()
+    for n, t in [(6, 2), (8, 3)]:
+        for trial in range(4):
+            f = random_colouring(n, t, seed=600 + trial, exact_tf=True)
+            inner = _winst_inner(strip_reduction(f, "one_strip"))
+            res = strip_extend(f, inner, "one_strip")
+            assert res.guaranteed_jumps == inner.guaranteed_jumps + 1
+            pts, _ = _check(f, res)
+            assert weight(pts[0]) == t + 1
+            assert f.evaluate(pts[0]) == 1 or f.evaluate(pts[-1]) == 0
+            side = "start" if "start side" in res.notes else "end"
+            reversed_ = res.geodesic.start.code >> 2 != inner.geodesic.start.code
+            seen.add((side, reversed_))
+    assert {side for side, _ in seen} == {"start", "end"}
+    assert {rev for _, rev in seen} == {False, True}
 
 
 def test_multi_strip_random_colourings():
@@ -343,15 +363,70 @@ def test_kdefined_two_and_three_defined():
     assert res.guaranteed_jumps >= min(2 * t + 1, 2 * t + 2)
 
 
+def _prefix_defined(n, t, k, g):
+    """The colouring of H_n that is 0 and 1 on the radius-t balls and g(first
+    k entries) between them."""
+    w = weights_vector(n)
+    prefix = np.arange(1 << n) & ((1 << k) - 1)
+    tbl = np.where(w <= t, 0, np.where(w >= n - t, 1, np.asarray(g)[prefix]))
+    return make(ColouringSpec(kind="table", n=n, table=tbl.astype(np.uint8).tobytes()))
+
+
 def test_kdefined_symmetric_prefix_witness_case():
-    # force the prefix witness to end well only via its last point
-    n, k = 8, 3
-    f = maj(n, 1, 3)
-    fp = prefix_colouring(f, k)
-    rep = winst_exact(fp)
-    res = kdefined_witness(f, k, prefix_witness=rep.witness)
-    pts, _ = _check(f, res)
-    assert f.evaluate(pts[0]) == 1 or f.evaluate(pts[-1]) == 0
+    # outside the balls f is the AND of entries 1 and 2, so every prefix
+    # witness (s = 0, start weight 1) starts in colour 0 and ends well only
+    # via its last point: the lift runs on the complemented colouring.
+    # 10 -> 00 -> 01 makes no inner jump, the winst witness 10 -> 11 -> 01 two
+    f = _prefix_defined(5, 1, 2, [0, 0, 0, 1])
+    assert prefix_colouring(f, 2).t_f == 0
+    for witness, guaranteed in ((Geodesic(Point(2, 0b01), (1, 2)), 2), (None, 4)):
+        res = kdefined_witness(f, 2, prefix_witness=witness)
+        assert res.notes.endswith("(complemented)")
+        assert res.guaranteed_jumps == guaranteed
+        pts, _ = _check(f, res)
+        assert weight(pts[0]) == 2
+        assert f.evaluate(pts[0]) == 1 or f.evaluate(pts[-1]) == 0
+
+
+def test_kdefined_prefix_witness_clamped_to_the_boundary():
+    # maj_1(3) has s = 1; each supplied witness leaves the band
+    # s <= weight <= k-s and is replayed as the clamped one beside it
+    f = maj(7, 1, 3)
+    assert prefix_colouring(f, 3).t_f == 1
+    cases = [((1, 2, 3), (1, 3, 2)),   # 110 -> 010 -> 000 -> 001 dips to weight 0
+             ((3, 1, 2), (1, 3, 2))]   # 110 -> 111 -> 011 -> 001 climbs to weight 3
+    for dipping, clamped in cases:
+        res = kdefined_witness(f, 3, Geodesic(Point(3, 0b011), dipping))
+        assert res == kdefined_witness(f, 3, Geodesic(Point(3, 0b011), clamped))
+        _check(f, res, min_jumps=3)
+
+
+def test_kdefined_every_small_prefix_function():
+    # every g on k <= 3 prefix entries between the balls of H_n, n <= 7: the
+    # path makes at least its promised jumps, and the promise never exceeds
+    # winst, the most jumps any well-ending geodesic makes
+    checked = boundary = 0
+    for n in range(2, 8):
+        for t in range((n - 1) // 2 + 1):
+            fs, promised = [], []
+            for k in range(1, min(3, n - 2 * t - 1) + 1):
+                for code in range(1 << (1 << k)):
+                    f = _prefix_defined(n, t, k, [code >> p & 1 for p in range(1 << k)])
+                    if f.t_f != t:
+                        continue
+                    res = kdefined_witness(f, k)
+                    assert is_geodesic(expand(res.geodesic))
+                    assert construction_jumps(f, res) >= res.guaranteed_jumps, (n, t, k, code)
+                    fs.append(f)
+                    promised.append(res.guaranteed_jumps)
+                    boundary += res.guaranteed_jumps == 2 * t + 1 and "escape" in res.notes
+            if fs:
+                tables = np.stack([f.table() for f in fs])
+                assert (winst_values_batch(tables, n, t) >= promised).all(), (n, t)
+                checked += len(fs)
+    assert checked == 1724
+    # the escape paths promised only 2t+1: k = n-2t-1, 0^k coloured 1, 1^k coloured 0
+    assert boundary == 143
 
 
 def test_kdefined_errors():

@@ -250,11 +250,11 @@ def _unreduced_sweep(n, t, mode, batch=1 << 14):
         if n >= 2 * t + 3:
             exact = tables[:, w == t + 1].any(axis=1) | ~tables[:, w == n - t - 1].all(axis=1)
         if mode == "inst":
-            values = inst_values_batch(tables, n, cap=n)
+            values = inst_values_batch(tables, n)
             i = int(values.argmin())
             best = min(filter(None, [best, (int(values[i]), int(counters[i]))]))
         else:
-            values = winst_values_batch(tables, n, t, cap=n)
+            values = winst_values_batch(tables, n, t)
         if exact.any():
             values, counters = values[exact], counters[exact]
             i = int(values.argmin())

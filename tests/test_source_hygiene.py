@@ -1,4 +1,5 @@
-"""Source checks that need no linter: every local a function assigns is read."""
+"""Source checks that need no linter: every local a function binds and every
+parameter it takes is read."""
 
 import ast
 from pathlib import Path
@@ -17,47 +18,103 @@ def _own_nodes(func):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def _names(target):
+    """The plain names a binding target binds, through tuple unpacking."""
+    if isinstance(target, ast.Name):
+        yield target
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _names(element)
+    elif isinstance(target, ast.Starred):
+        yield from _names(target.value)
+
+
+def _read(func):
+    """Every name ``func`` reads, its nested functions included."""
+    # an augmented assignment reads its target: ``row += 1`` may write
+    # through a view
+    read = {node.id for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.target.id for node in ast.walk(func)
+             if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)}
+    return read
+
+
 def _dead_locals(tree):
-    """(function, name, line) of each plain name a function assigns and never
-    reads, its nested functions included.  Tuple-unpacking targets,
-    augmented assignments and ``_`` are exempt."""
+    """(function, name, line) of each name a function binds by assignment,
+    tuple unpacking included (loop and comprehension targets too), and never
+    reads, its nested functions included.  Augmented assignments and ``_``
+    are exempt."""
     for func in ast.walk(tree):
         if not isinstance(func, FUNCTIONS):
             continue
-        # an augmented assignment reads its target: ``row += 1`` may write
-        # through a view
-        read = {node.id for node in ast.walk(func)
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        read |= {node.target.id for node in ast.walk(func)
-                 if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)}
-        assigned = []
+        read = _read(func)
+        bound = []
         for node in _own_nodes(func):
             if isinstance(node, ast.Assign):
-                assigned += [t for t in node.targets if isinstance(t, ast.Name)]
+                bound += [name for t in node.targets for name in _names(t)]
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                assigned += [node.target] if isinstance(node.target, ast.Name) else []
-        for target in assigned:
+                bound += _names(node.target)
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                bound += _names(node.target)
+        for target in bound:
             if target.id != "_" and target.id not in read:
                 yield func.name, target.id, target.lineno
 
 
-def test_every_assigned_local_is_read():
-    dead = [f"{path.name}:{line} {func}.{name}"
+def _unread_params(tree):
+    """(function, name, line) of each parameter a function never reads."""
+    for func in ast.walk(tree):
+        if not isinstance(func, FUNCTIONS):
+            continue
+        read = _read(func)
+        a = func.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        for p in params:
+            if p.arg not in read:
+                yield func.name, p.arg, p.lineno
+
+
+def _findings(check):
+    return [f"{path.name}:{line} {func}.{name}"
             for path in SOURCES
-            for func, name, line in _dead_locals(ast.parse(path.read_text(), str(path)))]
+            for func, name, line in check(ast.parse(path.read_text(), str(path)))]
+
+
+def test_every_assigned_local_is_read():
     assert SOURCES
+    dead = _findings(_dead_locals)
     assert not dead, dead
+
+
+def test_every_parameter_is_read():
+    assert SOURCES
+    unread = _findings(_unread_params)
+    assert not unread, unread
 
 
 def test_the_check_flags_a_dead_local():
     tree = ast.parse(
-        "def f(x):\n"
+        "def f(x, *rest):\n"
         "    unused = x + 1\n"
-        "    a, b = x\n"
+        "    a, (b, c) = x\n"
         "    total = 0\n"
         "    total += a\n"
         "    _ = b\n"
         "    kept = 2\n"
-        "    return (lambda: kept)()\n"
+        "    for i, j in rest:\n"
+        "        total += j\n"
+        "    return (lambda: kept)(), [v for v, w in rest]\n"
     )
-    assert list(_dead_locals(tree)) == [("f", "unused", 2)]
+    assert sorted(_dead_locals(tree), key=lambda d: d[2]) == [
+        ("f", "unused", 2), ("f", "c", 3), ("f", "i", 8), ("f", "w", 10)]
+
+
+def test_the_check_flags_an_unread_parameter():
+    tree = ast.parse(
+        "def f(x, unused, *rest, key=None):\n"
+        "    def g(y):\n"
+        "        return x + key\n"
+        "    return g, rest\n"
+    )
+    assert list(_unread_params(tree)) == [("f", "unused", 1), ("g", "y", 2)]
