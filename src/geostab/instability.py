@@ -13,24 +13,29 @@ so every predecessor state sits in the same column of another row: each
 column is its own DP, and a query fills only the columns of the ends it
 reads.  Each entry stores 2*g(x, S) + f(x); the colour in the low bit
 turns the jump into a parity.  Rows are filled one popcount layer at a
-time, in blocks of rows, and a row S without i is in the layer before
-S, so only two layers are live, each at most C(n, n//2) rows, stored by
-rank within the layer.  A geodesic from s ends at ~s, so start and end
-constraints filter the starts, and its reversal, from ~s, has the same
-jumps: inst reads the starts below 2^(n-1), and winst the well-ending
-starts.  The values are in the last layer, the full set.  A witness
-descends through the column of its one end, refilled alone, 2^n bytes.
+time, in blocks of rows, each a running maximum over its predecessors
+taken one at a time; a row S without i is in the layer before S, so only
+two layers are live, each at most C(n, n//2) rows, stored by rank within
+the layer.  A geodesic from s ends at ~s, so start and end constraints
+filter the starts, and its reversal, from ~s, has the same jumps: inst
+reads the starts below 2^(n-1), and winst the well-ending starts.  The
+values are in the last layer, the full set.  A witness descends through
+the whole column of its one end, 2^n bytes.
 
 A single colouring fills fewer columns still.  A swap of two coordinates
 that fixes f maps geodesics to geodesics with the same jumps, start
 weight and start and end colours, so the engines keep one start per orbit
 of the swaps, the least; and since no geodesic makes more than n jumps,
 a probe of the first 2^(n//2) kept starts that reaches n ends the fill.
-The layers therefore take at most 2 * C(n, n//2) * 2^(n-1) bytes for inst
-(14 MB at n = 13, 56 MB at n = 14) and 2 * C(n, n//2) * C(n, t+1) for
-winst: bounds that an input with no swap symmetry and value below n meets,
-while the majority and partition colourings keep a few hundred starts at
-most.  The batch kernels score every start of every row.
+The probe keeps its columns whole, 2^n * 2^(n//2) bytes (512 KB at
+n = 13), so the witness of a first maximal start among them comes from
+the fill that found its value; a start past the probe has its one column
+refilled.  Besides the probe's columns, the layers take at most
+2 * C(n, n//2) * 2^(n-1) bytes for inst (14 MB at n = 13, 56 MB at
+n = 14) and 2 * C(n, n//2) * C(n, t+1) for winst: bounds that an input
+with no swap symmetry and value below n meets, while the majority and
+partition colourings keep a few hundred starts at most.  The batch
+kernels score every start of every row.
 
 A literal brute-force enumerator over all starts and flip permutations is
 kept as an independent oracle for cross-checking at tiny dimensions.
@@ -52,7 +57,7 @@ from .hypercube import Geodesic, Point, weights_vector
 
 DEFAULT_MAX_N = 13
 _BRUTEFORCE_MAX_N = 6
-_BLOCK_BYTES = 1 << 18  # per block of rows: its predecessor rows and colours
+_BLOCK_BYTES = 1 << 18  # per block of rows: the rows, one predecessor and colours
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,9 @@ def dimension_cap(explicit: Optional[int] = None) -> int:
     radius t, times the number of colourings scored together.  A single
     colouring reaches these bounds only without swap symmetry and with a
     value below n: its layers hold one start per orbit of the coordinate
-    swaps that fix it, and stop at a probe of 2^(n//2) starts that reaches n.
+    swaps that fix it, and stop at a probe of 2^(n//2) starts that reaches
+    n.  The probe's columns, kept whole for the witness, add 2^n * 2^(n//2)
+    bytes (512 KB at n = 13, 4 MB at n = 15).
     """
     if explicit is not None:
         return explicit
@@ -149,9 +156,12 @@ def _dp_layers(
     layers after it is yielded, so a consumer that keeps it copies it.
 
     The predecessor of state (x, S) through bit i is (x^e_i, S^e_i), which
-    is column z of row S^e_i.  Xor-ing in f(x) leaves 2*g + jump; rounding
-    up to even gives 2*(g + jump), and since rounding is monotone it can
-    follow the maximum over i.  Entries stay below 2n+2 <= 127.
+    is column z of row S^e_i.  Xor-ing in f(x) leaves 2*g + jump, and a
+    block of rows keeps the running maximum of these over i, one gathered
+    predecessor at a time, so the bytes a block holds at once do not grow
+    with the layer.  Rounding up to even gives 2*(g + jump), and since
+    rounding is monotone it can follow the maximum over i.  Entries stay
+    below 2n+2 <= 127.
     """
     B, N = tables.shape
     if N != 1 << n:
@@ -177,18 +187,27 @@ def _dp_layers(
         cols = None
     else:
         cols = np.searchsorted(high, hi) * L + (ends & (L - 1))
+    rows = max(1, _BLOCK_BYTES // max(1, (2 * len(ends) + len(high) * L) * B))
+    # one gathered predecessor of a block; ``take`` buffers its output under
+    # mode="raise", and the ranks are always in range, so "clip" clips none
+    X = np.empty((min(rows, len(buffers[0])), len(ends), B), dtype=np.int8)
     for k, (subsets, preds) in enumerate(layers[1:], 1):
         cur = buffers[k % 2, :len(subsets)]
-        rows = max(1, _BLOCK_BYTES // max(1, (k * len(ends) + len(high) * L) * B))
         blocks = subsets[:, None] ^ (high << l)
         for a in range(0, len(subsets), rows):
             block = blocks[a:a + rows]
+            pred = preds[a:a + rows]
             P = A.take(block, axis=0).reshape(len(block), -1, B)
             if cols is not None:
                 P = P.take(cols, axis=1)
-            X = prev.take(preds[a:a + rows], axis=0)
-            X ^= P[:, None]
-            row = X.max(axis=1, out=cur[a:a + rows])
+            row = cur[a:a + rows]
+            x = X[:len(block)]
+            prev.take(pred[:, 0], axis=0, out=row, mode="clip")
+            row ^= P
+            for i in range(1, k):
+                prev.take(pred[:, i], axis=0, out=x, mode="clip")
+                x ^= P
+                np.maximum(row, x, out=row)
             row += 1
             row &= -2
             row += P
@@ -204,13 +223,14 @@ def _start_values(tables: np.ndarray, n: int, starts: np.ndarray) -> np.ndarray:
     return (top[0] >> 1)[::-1].T
 
 
-def _end_column(table: np.ndarray, n: int, end: int) -> np.ndarray:
-    """The filled column of one end point, 2*g(end^S, S) + f(end^S) indexed
-    by the code of S: a refill of that one end alone."""
-    column = np.empty(1 << n, dtype=np.int8)
-    for subsets, layer in _dp_layers(table[None], n, np.array([end])):
-        column[subsets] = layer[:, 0, 0]
-    return column
+def _start_columns(table: np.ndarray, n: int, starts: np.ndarray) -> np.ndarray:
+    """The filled columns of the ascending ``starts`` as (2^n, len(starts)):
+    column j holds 2*g(z^S, S) + f(z^S) for the end z = 2^n - 1 - starts[j]
+    of a geodesic from starts[j], indexed by the code of S."""
+    columns = np.empty((1 << n, len(starts)), dtype=np.int8)
+    for subsets, layer in _dp_layers(table[None], n, ((1 << n) - 1 - starts)[::-1]):
+        columns[subsets] = layer[:, ::-1, 0]
+    return columns
 
 
 def _reconstruct(column: np.ndarray, table: np.ndarray, n: int, start: int) -> tuple[int, ...]:
@@ -290,13 +310,16 @@ def _best_start(
     starts = _orbit_least(starts, _swap_blocks(table, n))
     if starts.size == 0:
         return InstabilityReport(mode=mode, value=None, witness=None, t_used=t_used)
-    probe = 1 << (n // 2)
-    top = _start_values(table[None], n, starts[:probe])[0]
+    columns = _start_columns(table, n, starts[:1 << (n // 2)])
+    probe = columns.shape[1]
+    top = columns[-1] >> 1
     if top.max() < n and starts.size > probe:
         top = np.concatenate((top, _start_values(table[None], n, starts[probe:])[0]))
     i = int(np.argmax(top))
     start = int(starts[i])
-    order = _reconstruct(_end_column(table, n, ((1 << n) - 1) ^ start), table, n, start)
+    # the witness column is the probe's, or a refill of the one start past it
+    column = columns[:, i] if i < probe else _start_columns(table, n, starts[i:i + 1])[:, 0]
+    order = _reconstruct(column, table, n, start)
     return InstabilityReport(
         mode=mode,
         value=int(top[i]),

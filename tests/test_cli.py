@@ -1,13 +1,14 @@
 """CLI behaviour: reports, exit codes, spec files, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
 from geostab.cli import load_spec, main, save_spec
-from geostab.colourings import ColouringSpec, balanced_partition, make
+from geostab.colourings import ColouringSpec, balanced_partition, make, spec_from_json_dict
 from geostab.errors import ValidationError
 from geostab.hypercube import expand, geodesic_from_text, is_geodesic
 from geostab.instability import jumps_of_path
@@ -428,16 +429,48 @@ def test_spec_file_table_that_is_not_hex_text_exit_2(tmp_path, capsys, document)
 @pytest.mark.parametrize(
     "args", [["inst", "--seed", "1", "--kind", "majority", "--n", "5", "--t", "1", "--k", "3"],
              ["--seed", "9", "bounds", "--n", "5"], ["search", "--n", "4", "--t", "1", "--seed", "2"],
-             ["bounds", "--n", "5", "--t", "x"]]
+             ["bounds", "--n", "5", "--t", "x"],
+             ["witness", "--construction", "bogus", "--kind", "majority", "--n", "5", "--t", "1",
+              "--k", "3"],
+             ["verify", "--suite", "bogus", "--max-n", "3"]]
 )
 def test_seed_outside_verify_exit_2(capsys, args):
-    # argparse refusals, like every other refusal, are one stderr line
+    # argparse refusals, like every other refusal, are one stderr line; the
+    # parser's choices are the only check on construction and suite names
     with pytest.raises(SystemExit) as exc:
         main(args)
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("invalid parameters: ")
+
+
+def test_search_report_carries_exact_radius_minimum(monkeypatch, capsys):
+    # no sweep within the free-point gate has an exact-radius minimum apart
+    # from its plain one, so a hand-built result stands in for the sweep
+    import geostab.cli as cli_mod
+    from geostab.search import SearchResult
+
+    spec = ColouringSpec(kind="table", n=5, table=bytes(16) + bytes([1]) * 16)
+    exact = ColouringSpec(kind="majority", n=5, t=2, k=5)
+    res = SearchResult(n=5, t=1, mode="inst", minimum=3, argmin=spec, colourings_scanned=64,
+                       orbits_scanned=8, elapsed=0.5, minimum_exact_tf=5, argmin_exact_tf=exact)
+    monkeypatch.setattr(cli_mod, "min_inst_exhaustive", lambda n, t, checkpoint_path: res)
+    code, report = run_json(["search", "--n", "5", "--t", "1"], capsys)
+    assert code == 0
+    out = report["outputs"]
+    assert (out["minimum"], out["minimum_exact_tf"]) == (3, 5)
+    assert spec_from_json_dict(out["argmin_exact_tf"]) == exact
+    code, text = run_cli(["--format", "csv", "search", "--n", "5", "--t", "1"], capsys)
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(text))) == [
+        {"n": "5", "t": "1", "k": "", "mode": "search-inst", "value": "3", "witness": ""}]
+    monkeypatch.setattr(cli_mod, "min_inst_exhaustive",
+                        lambda n, t, checkpoint_path: dataclasses.replace(
+                            res, minimum_exact_tf=None, argmin_exact_tf=None))
+    _, report = run_json(["search", "--n", "5", "--t", "1"], capsys)
+    assert "minimum_exact_tf" not in report["outputs"]
+    assert "argmin_exact_tf" not in report["outputs"]
 
 
 @pytest.mark.parametrize("suite", ["majo", "block", "conjecture"])

@@ -341,18 +341,23 @@ def test_layers_are_reused_so_held_layers_go_stale():
 
 
 def test_refilled_end_column_matches_reference_fill():
-    # the witness column is refilled for its one end alone and read by
-    # subset code
-    from geostab.instability import _end_column
+    # the columns of a list of starts, each read by subset code: one start
+    # alone is the witness refill, several are the probe's columns
+    from geostab.instability import _start_columns
 
     for n in range(1, 9):
         N = 1 << n
         tables = _seeded_tables(1, n)
         G = _reference_fill(tables, n)[:, 0]
-        for end in range(N):
-            x = end ^ np.arange(N)
-            want = 2 * G[np.arange(N), x] + tables[0, x]
-            assert (_end_column(tables[0], n, end) == want).all(), (n, end)
+        S = np.arange(N)
+        for start in range(N):
+            x = ((N - 1) ^ start) ^ S
+            want = 2 * G[S, x] + tables[0, x]
+            assert (_start_columns(tables[0], n, np.array([start]))[:, 0] == want).all(), (n, start)
+        for name, starts in _column_sets(n).items():
+            x = ((N - 1) ^ starts) ^ S[:, None]
+            want = 2 * G[S[:, None], x] + tables[0, x]
+            assert (_start_columns(tables[0], n, starts) == want).all(), (n, name)
 
 
 @pytest.mark.parametrize("B", [1, 7])
@@ -386,14 +391,18 @@ def _traced_peak(engine, f=None):
     ids=["inst", "winst"],
 )
 def test_engine_memory_is_the_columns_it_reads(engine, bound):
-    # inst fills 2^n/2 columns, winst at most C(12, 3) = 220 of 4096, each
-    # in two layers of at most C(12, 6) = 924 rows, and refills one column
+    # inst fills at most the 2^n/2 columns of its starts and winst at most
+    # C(12, 3) = 220 of 4096, each in two layers of at most C(12, 6) = 924
+    # rows, and the probe keeps its 2^6 columns whole, 4^12/64 bytes
     assert _traced_peak(engine) < bound
 
 
 def test_inst_memory_is_two_layers():
-    # two layers of 924 rows by 2048 columns are 0.23 * 4^12 bytes; the
-    # whole column-restricted table, 4^12 / 2, does not fit under the bound
+    # two layers of 924 rows by 2048 columns are 0.23 * 4^12 bytes and the
+    # probe's whole columns 4^12/64; the whole column-restricted table,
+    # 4^12 / 2, does not fit under the bound.  This input reaches 12 in the
+    # probe, so its peak is the probe's: two layers of 64 columns, the
+    # probe's columns and the colour blocks, near 0.05 * 4^12
     assert _traced_peak(inst_exact) < 0.4 * 4**12
 
 
@@ -401,7 +410,8 @@ def test_inst_memory_is_two_layers():
 def test_symmetric_inst_fills_few_columns(k):
     # maj_2(k) is fixed by every swap among its first k coordinates and among
     # the rest, so at most (k+1)(13-k) <= 48 starts are least in their orbit;
-    # the peak is the colour gather, far below two layers of 2048 columns
+    # the peak is the colour blocks and the probe's whole columns, at most
+    # 4^12/64 bytes each, far below two layers of 2048 columns
     f = make(ColouringSpec(kind="majority", n=12, t=2, k=k))
     assert _traced_peak(inst_exact, f) < 4**12 / 16
 
@@ -542,7 +552,7 @@ def _unreduced(f, starts):
     """The first start of maximum value among all of ``starts`` and its
     witness flip order, from one fill of every start: no orbit filter and no
     early stop."""
-    from geostab.instability import _end_column, _reconstruct, _start_values
+    from geostab.instability import _reconstruct, _start_columns, _start_values
 
     if starts.size == 0:
         return None, None, None
@@ -550,7 +560,7 @@ def _unreduced(f, starts):
     top = _start_values(table[None], n, starts)[0]
     i = int(np.argmax(top))
     start = int(starts[i])
-    order = _reconstruct(_end_column(table, n, ((1 << n) - 1) ^ start), table, n, start)
+    order = _reconstruct(_start_columns(table, n, starts[i:i + 1])[:, 0], table, n, start)
     return int(top[i]), start, order
 
 
@@ -598,6 +608,37 @@ def test_orbit_filter_and_early_stop_match_unreduced_fill():
                         rep = inst_restricted(f, w0, start_colour=sc, end_colour=ec)
                         assert _report_triple(rep) == _unreduced(f, starts[ok]), (
                             f.spec, w0, sc, ec)
+
+
+def test_witness_from_probe_or_refill_matches_fresh_refill():
+    # on tables that no swap fixes, every admissible start is filled: the
+    # first maximal start lies in the probe of the first 2^(n//2) starts,
+    # whose columns give the witness, or past it, where its column is
+    # refilled; either way the witness is the descent through a fresh
+    # one-column fill of that start
+    from geostab.instability import _reconstruct, _start_columns, _start_values, _swap_blocks
+
+    rng = np.random.default_rng(31)
+    seen = {"inst": set(), "winst": set()}
+    for n in range(1, 10):
+        N = 1 << n
+        for t in range((n - 1) // 2 + 1):
+            for _ in range(4):
+                f = _random_colouring(rng, n, t)
+                table = f.table()
+                if len(_swap_blocks(table, n)) < n:
+                    continue
+                well = weights_vector(n) == f.t_f + 1
+                ok = well & ((table == 1) | (table[::-1] == 0))
+                for rep, starts in ((inst_exact(f), np.arange(N // 2)),
+                                    (winst_exact(f), np.nonzero(ok)[0])):
+                    i = int(np.argmax(_start_values(table[None], n, starts)[0]))
+                    start = int(starts[i])
+                    order = _reconstruct(_start_columns(table, n, starts[i:i + 1])[:, 0],
+                                         table, n, start)
+                    assert rep.witness == Geodesic(Point(n, start), order), (f.spec, rep.mode)
+                    seen[rep.mode].add(i < 1 << (n // 2))
+    assert seen == {"inst": {True, False}, "winst": {True, False}}
 
 
 def test_symmetric_colourings_match_bruteforce_oracle():
