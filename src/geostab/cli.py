@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -467,7 +468,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"invalid parameters: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use and shared by every
+    caller, so no caller may change it.  It holds no per-call state:
+    ``parse_args`` returns a new namespace, and refusals and help go to the
+    ``sys.stderr``/``sys.stdout`` of the call."""
     parser = _Parser(
         prog="geostab",
         description="Geodesic stability of hypercube colourings: engines, witnesses, bounds, sweeps.",

@@ -72,7 +72,9 @@ class SearchResult:
     ``minimum``/``argmin`` follow the sweep's letter: over all enumerated
     colourings for inst, over radius-exactly-t colourings for winst.  The
     inst sweep also reports the exact-radius restriction in the ``*_exact_tf``
-    fields (None when it coincides or for winst sweeps).  ``argmin`` is the
+    fields, None for winst sweeps and when the least argmin already has
+    radius exactly t.  That holds at every (n, t) the free-point gate admits
+    (n <= 13), so no such sweep writes them.  ``argmin`` is the
     colouring of the least minimising counter, an orbit representative.
     ``colourings_scanned`` counts the colourings covered by the
     ``orbits_scanned`` representatives scored.

@@ -4,10 +4,11 @@ import csv
 import dataclasses
 import io
 import json
+import re
 
 import pytest
 
-from geostab.cli import load_spec, main, save_spec
+from geostab.cli import build_parser, load_spec, main, save_spec
 from geostab.colourings import ColouringSpec, balanced_partition, make, spec_from_json_dict
 from geostab.errors import ValidationError
 from geostab.hypercube import expand, geodesic_from_text, is_geodesic
@@ -510,3 +511,30 @@ def test_verify_seed_reaches_the_suite(monkeypatch, capsys):
         "verdicts": [{"claim": claim.format(n), "status": "pass"} for n in (3, 4, 5)],
     }
     assert seeds[:2] == [1 + 97 * 3, 1 + 97 * 3 + 1]
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # one parser serves every call of a process: a refusal, a help request
+    # and a CSV report to a file in between leave a later report unchanged
+    assert build_parser() is build_parser()
+    args = ["inst", "--kind", "majority", "--n", "6", "--t", "2", "--k", "3"]
+
+    def masked_report():
+        code, out = run_cli(args, capsys)
+        return code, re.sub(r'"elapsed_s": [^\n]*', '"elapsed_s": null', out)
+
+    first = masked_report()
+    with pytest.raises(SystemExit) as exc:
+        main(["inst", "--kind", "bogus", "--n", "6"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["inst", "--help"])
+    assert exc.value.code == 0 and "--colouring" in capsys.readouterr().out
+    out = tmp_path / "report.csv"
+    assert main(["inst", "--kind", "majority", "--n", "5", "--t", "1", "--k", "3",
+                 "--format", "csv", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "" and out.read_text().startswith("n,t,k,mode,value,witness")
+    assert masked_report() == first
+    assert first[0] == 0 and '"value": 5' in first[1]

@@ -398,12 +398,20 @@ def test_engine_memory_is_the_columns_it_reads(engine, bound):
 
 
 def test_inst_memory_is_two_layers():
-    # two layers of 924 rows by 2048 columns are 0.23 * 4^12 bytes and the
-    # probe's whole columns 4^12/64; the whole column-restricted table,
-    # 4^12 / 2, does not fit under the bound.  This input reaches 12 in the
-    # probe, so its peak is the probe's: two layers of 64 columns, the
-    # probe's columns and the colour blocks, near 0.05 * 4^12
-    assert _traced_peak(inst_exact) < 0.4 * 4**12
+    # maj_2(5) with 8 free points flipped: no swap of coordinates fixes it and
+    # its value 11 is below 12, so the probe does not stop the fill and every
+    # start below 2^11 has its column filled.  Two layers of 924 rows by 2048
+    # columns are 0.23 * 4^12 bytes and the peak is near 0.30 * 4^12; the
+    # whole column-restricted table, 4^12 / 2, does not fit under the bound
+    from geostab.instability import _swap_blocks
+
+    n = 12
+    table = maj(n, 2, 5).table().copy()
+    table[np.random.default_rng(7).choice(free_point_codes(n, 2), 8, replace=False)] ^= 1
+    f = make(ColouringSpec(kind="table", n=n, table=table))
+    assert inst_exact(f).value < n
+    assert _swap_blocks(table, n) == [[i] for i in range(n)]
+    assert _traced_peak(inst_exact, f) < 0.4 * 4**n
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
