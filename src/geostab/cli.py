@@ -143,7 +143,7 @@ def _witness_entry(f: Colouring, geodesic) -> dict:
 
 
 def _search_output(res) -> dict:
-    out = {
+    return {
         "n": res.n,
         "t": res.t,
         "mode": res.mode,
@@ -152,10 +152,6 @@ def _search_output(res) -> dict:
         "colourings_scanned": res.colourings_scanned,
         "orbits_scanned": res.orbits_scanned,
     }
-    if res.minimum_exact_tf is not None:
-        out["minimum_exact_tf"] = res.minimum_exact_tf
-        out["argmin_exact_tf"] = spec_to_json_dict(res.argmin_exact_tf)
-    return out
 
 
 def _verdict(claim: str, ok: bool, **extra) -> dict:

@@ -262,26 +262,27 @@ def _swap_blocks(table: np.ndarray, n: int) -> list[list[int]]:
     """The bit positions 0..n-1 joined into blocks, each ascending, by the
     transpositions of coordinates that fix the colouring.  Such a swap keeps
     the count of 1-points with the bit set, so only pairs of equal count are
-    tested, on the table as an n-axis array where bit i is axis n-1-i; and
-    (a c) = (a b)(b c)(a b), so a pair already in one block needs no test."""
-    T = table.reshape((2,) * n)
-    counts = [int(T.take(1, axis=n - 1 - i).sum()) for i in range(n)]
-    parent = list(range(n))
-
-    def root(a: int) -> int:
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
+    tested.  The swap of bits a < b moves only the points where the two bits
+    differ, so it fixes f when the quarter-tables with (bit b, bit a) equal
+    (0, 1) and (1, 0) are equal.  The fixing swaps are an equivalence
+    relation on the coordinates, as (a c) = (a b)(b c)(a b), so each
+    coordinate not yet in a block starts one and takes every later one of
+    equal count, not yet in a block, whose swap with it fixes f."""
+    counts = [int(table.reshape(-1, 2, 1 << i)[:, 1].sum()) for i in range(n)]
+    blocks: list[list[int]] = []
+    placed: set[int] = set()
     for a in range(n):
+        if a in placed:
+            continue
+        block = [a]
         for b in range(a + 1, n):
-            if (counts[a] == counts[b] and root(a) != root(b)
-                    and np.array_equal(T, T.swapaxes(n - 1 - a, n - 1 - b))):
-                parent[root(b)] = root(a)
-    blocks: dict[int, list[int]] = {}
-    for a in range(n):
-        blocks.setdefault(root(a), []).append(a)
-    return list(blocks.values())
+            if b not in placed and counts[b] == counts[a]:
+                q = table.reshape(-1, 2, 1 << (b - a - 1), 2, 1 << a)
+                if np.array_equal(q[:, 0, :, 1], q[:, 1, :, 0]):
+                    block.append(b)
+        placed.update(block)
+        blocks.append(block)
+    return blocks
 
 
 def _orbit_least(starts: np.ndarray, blocks: list[list[int]]) -> np.ndarray:

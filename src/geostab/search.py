@@ -22,12 +22,12 @@ minimum is the one an unreduced scan of all 2^F counters finds.  Batches
 of representatives are scored at once by the vectorised instability
 kernels.
 
-The inst sweep minimises over every enumerated colouring (Problem-style
-"respects the balls"), and additionally reports the minimum over the
-colourings whose radius is exactly t.  The winst sweep keeps only radius-
-exactly-t colourings.  Both filters take the radius from ``colourings.radii``
-and are orbit-invariant.  A sweep runs in one process (the public sweeps
-accept ``threads`` only as 1).  It scores the representatives in chunks and
+Each sweep keeps one running (value, counter) minimum.  The inst sweep
+takes it over every enumerated colouring (Problem-style "respects the
+balls"); the winst sweep over the colourings whose radius is exactly t,
+a filter that takes the radius from ``colourings.radii`` and is
+orbit-invariant.  A sweep runs in one process (the public sweeps accept
+``threads`` only as 1).  It scores the representatives in chunks and
 checkpoints its progress and the running minimum to a JSON file after every
 chunk, so long runs can resume; the result is independent of the chunking
 because minima are merged by (value, counter).  A resumed sweep rescores
@@ -61,7 +61,7 @@ from .instability import _check_cap, inst_exact, inst_values_batch, winst_exact,
 
 MAX_FREE_POINTS = 22
 DEFAULT_BATCH = 4096
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _RETRY_CAP = 10_000
 
 
@@ -70,14 +70,10 @@ class SearchResult:
     """Outcome of one exhaustive sweep.
 
     ``minimum``/``argmin`` follow the sweep's letter: over all enumerated
-    colourings for inst, over radius-exactly-t colourings for winst.  The
-    inst sweep also reports the exact-radius restriction in the ``*_exact_tf``
-    fields, None for winst sweeps and when the least argmin already has
-    radius exactly t.  That holds at every (n, t) the free-point gate admits
-    (n <= 13), so no such sweep writes them.  ``argmin`` is the
-    colouring of the least minimising counter, an orbit representative.
-    ``colourings_scanned`` counts the colourings covered by the
-    ``orbits_scanned`` representatives scored.
+    colourings for inst, over radius-exactly-t colourings for winst.
+    ``argmin`` is the colouring of the least minimising counter, an orbit
+    representative.  ``colourings_scanned`` counts the colourings covered
+    by the ``orbits_scanned`` representatives scored.
     """
 
     n: int
@@ -88,8 +84,6 @@ class SearchResult:
     colourings_scanned: int
     orbits_scanned: int
     elapsed: float
-    minimum_exact_tf: Optional[int] = None
-    argmin_exact_tf: Optional[ColouringSpec] = None
 
 
 def _check_free_count(n: int, t: int) -> np.ndarray:
@@ -174,40 +168,35 @@ def _least(prior: Optional[tuple[int, int]], values: np.ndarray,
 
 
 def _score(
-    n: int, t: int, mode: str, counters: np.ndarray,
-    best: Optional[tuple[int, int]] = None, best_exact: Optional[tuple[int, int]] = None,
-) -> tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]:
-    """The running minima (value, counter) merged with those of one ascending
-    batch of counters: over all of them (inst only, else None) and over
-    those with radius exactly t."""
+    n: int, t: int, mode: str, counters: np.ndarray, best: Optional[tuple[int, int]] = None,
+) -> Optional[tuple[int, int]]:
+    """The running minimum (value, counter) merged with that of one ascending
+    batch of counters: over all of them for inst, over those with radius
+    exactly t for winst."""
     bits = _counter_bits(counters, len(free_point_codes(n, t)))
     tables = tables_from_free_layers(n, t, bits)
-    exact = radii(tables, n) == t
     if mode == "inst":
-        values = inst_values_batch(tables, n)
-        return _least(best, values, counters), _least(best_exact, values[exact], counters[exact])
+        return _least(best, inst_values_batch(tables, n), counters)
+    exact = radii(tables, n) == t
     if not exact.any():
-        return best, best_exact
-    values = winst_values_batch(tables[exact], n, t)
-    return best, _least(best_exact, values, counters[exact])
+        return best
+    return _least(best, winst_values_batch(tables[exact], n, t), counters[exact])
 
 
 def _checkpoint(key: dict, reps: np.ndarray, sizes: np.ndarray, done: int,
-                best: Optional[tuple[int, int]], best_exact: Optional[tuple[int, int]]) -> dict:
-    """The checkpoint (format v2) of the sweep ``key`` once it has scored the
-    first ``done`` representatives and found the minima ``best`` and
-    ``best_exact``."""
+                best: Optional[tuple[int, int]]) -> dict:
+    """The checkpoint (format v3) of the sweep ``key`` once it has scored the
+    first ``done`` representatives and found the minimum ``best``."""
     return dict(key, version=CHECKPOINT_VERSION,
                 next_counter=int(reps[done]) if done < len(reps) else 1 << key["F"],
-                orbits_scanned=done, scanned=int(sizes[:done].sum()),
-                best=best, best_exact=best_exact)
+                orbits_scanned=done, scanned=int(sizes[:done].sum()), best=best)
 
 
 def _resume_point(
     path: str, key: dict, reps: np.ndarray, sizes: np.ndarray
-) -> tuple[int, Optional[tuple[int, int]], Optional[tuple[int, int]]]:
-    """``(done, best, best_exact)`` of the checkpoint at ``path``, or of a
-    fresh sweep when there is no file yet.
+) -> tuple[int, Optional[tuple[int, int]]]:
+    """``(done, best)`` of the checkpoint at ``path``, or of a fresh sweep
+    when there is no file yet.
 
     The representatives below its ``next_counter`` are rescored, and the
     file is refused unless it is, key for key and as JSON text, the state
@@ -216,7 +205,7 @@ def _resume_point(
         with open(path) as fh:
             state = json.load(fh)
     except FileNotFoundError:
-        return 0, None, None
+        return 0, None
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(state, dict):
@@ -228,11 +217,10 @@ def _resume_point(
             f"checkpoint {path}: next_counter={counter!r} is neither an orbit representative "
             f"nor 2^F = {total}"
         )
-    best = best_exact = None
+    best = None
     for i in range(0, done, DEFAULT_BATCH):
-        best, best_exact = _score(key["n"], key["t"], key["mode"],
-                                  reps[i:min(i + DEFAULT_BATCH, done)], best, best_exact)
-    expected = _checkpoint(key, reps, sizes, done, best, best_exact)
+        best = _score(key["n"], key["t"], key["mode"], reps[i:min(i + DEFAULT_BATCH, done)], best)
+    expected = _checkpoint(key, reps, sizes, done, best)
 
     def shown(d: dict, k: str) -> str:
         return json.dumps(d[k]) if k in d else "absent"
@@ -244,7 +232,7 @@ def _resume_point(
             f"checkpoint {path} is not the state its {done} scored representatives rescore to: "
             + "; ".join(f"{k} is {shown(state, k)}, expected {shown(expected, k)}" for k in differ)
         )
-    return done, best, best_exact
+    return done, best
 
 
 def _save_checkpoint(path: str, state: dict) -> None:
@@ -285,35 +273,31 @@ def _run_sweep(
     key = {"n": n, "t": t, "mode": mode, "F": len(free)}
     reps, sizes = _orbits(n, free)
     # representatives scored, a prefix of reps, and the (value, counter)
-    # minima: over every colouring for inst, over radius exactly t
-    done, best, best_exact = 0, None, None
+    # minimum: over every colouring for inst, over radius exactly t for winst
+    done, best = 0, None
     if checkpoint_path:
-        done, best, best_exact = _resume_point(checkpoint_path, key, reps, sizes)
+        done, best = _resume_point(checkpoint_path, key, reps, sizes)
 
     for i in range(done, len(reps), DEFAULT_BATCH):
         done = min(i + DEFAULT_BATCH, len(reps))
-        best, best_exact = _score(n, t, mode, reps[i:done], best, best_exact)
+        best = _score(n, t, mode, reps[i:done], best)
         if checkpoint_path:
-            _save_checkpoint(checkpoint_path, _checkpoint(key, reps, sizes, done, best, best_exact))
+            _save_checkpoint(checkpoint_path, _checkpoint(key, reps, sizes, done, best))
 
     covered, total = int(sizes[:done].sum()), 1 << len(free)
     if covered != total:
         raise AssertionError(f"the scored orbits cover {covered} colourings, expected 2^F = {total}")
     elapsed = time.perf_counter() - started
-    minimum = best if mode == "inst" else best_exact
-    if minimum is None:
+    if best is None:
         raise AssertionError(f"{mode} sweep found no colouring it minimises over")
-    value, counter = minimum
+    value, counter = best
     argmin = _colouring_from_counter(n, t, counter)
     if mode == "winst" and argmin.t_f != t:
         raise AssertionError(f"winst argmin has t_f={argmin.t_f}, expected {t}")
     _check_argmin(argmin, value, mode)
-    extra = mode == "inst" and best_exact is not None and best_exact != best
     return SearchResult(
         n=n, t=t, mode=mode, minimum=value, argmin=argmin.spec,
         colourings_scanned=covered, orbits_scanned=done, elapsed=elapsed,
-        minimum_exact_tf=best_exact[0] if extra else None,
-        argmin_exact_tf=_colouring_from_counter(n, t, best_exact[1]).spec if extra else None,
     )
 
 

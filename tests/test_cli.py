@@ -1,7 +1,6 @@
 """CLI behaviour: reports, exit codes, spec files, determinism."""
 
 import csv
-import dataclasses
 import io
 import json
 import re
@@ -9,7 +8,7 @@ import re
 import pytest
 
 from geostab.cli import build_parser, load_spec, main, save_spec
-from geostab.colourings import ColouringSpec, balanced_partition, make, spec_from_json_dict
+from geostab.colourings import ColouringSpec, balanced_partition, make
 from geostab.errors import ValidationError
 from geostab.hypercube import expand, geodesic_from_text, is_geodesic
 from geostab.instability import jumps_of_path
@@ -90,12 +89,24 @@ def test_witness_constructions(tmp_path, capsys, args, colouring):
 @pytest.mark.parametrize(
     "args",
     [
-        ["--construction", "majority", "--n", "5", "--t", "1", "--k", "2", "--tie", "zero"],
-        ["--construction", "majority", "--kind", "partition", "--n", "6", "--t", "2", "--k", "3"],
+        ["witness", "--construction", "majority", "--n", "5", "--t", "1", "--k", "2",
+         "--tie", "zero"],
+        ["witness", "--construction", "majority", "--kind", "partition", "--n", "6", "--t", "2",
+         "--k", "3"],
+        ["witness", "--construction", "kdefined", "--kind", "table", "--n", "2", "--table", "6"],
+        # inline colouring arguments that inst refuses
+        ["inst", "--colouring", "missing.json"],
+        ["inst", "--kind", "partition", "--n", "7", "--partition", "1,a"],
+        ["inst", "--n", "5"],
+        ["inst", "--kind", "majority"],
+        ["inst", "--kind", "partition", "--n", "7"],
     ],
 )
-def test_witness_refusals_exit_2(capsys, args):
-    _assert_refused(main(["witness", *args]), capsys)
+def test_witness_refusals_exit_2(tmp_path, monkeypatch, capsys, args):
+    # arguments the parser accepts and the command refuses; run where no
+    # spec file exists
+    monkeypatch.chdir(tmp_path)
+    assert _assert_refused(main(args), capsys).startswith("invalid parameters: ")
 
 
 def test_witness_report_revalidates_on_reload(capsys):
@@ -294,14 +305,17 @@ def test_search_and_conjecture_report_orbits(capsys):
     [
         '{"version": 2, "n": 4, "t": 1, "mode": "inst", "F"',  # truncated
         '{"n": 4, "t": 1, "mode": "inst", "next_counter": 0, "scanned": 0, '
-        '"best": null, "best_exact": null}',  # legacy, no version
-        '{"version": 2, "n": 4, "t": 1, "mode": "inst", "F": 6, "next_counter": 65, '
-        '"orbits_scanned": 0, "scanned": 0, "best": null, "best_exact": null}',
-        # three of the seven orbits scored, with forged minima
-        '{"version": 2, "n": 4, "t": 1, "mode": "inst", "F": 6, "next_counter": 7, '
-        '"orbits_scanned": 3, "scanned": 38, "best": [-1, 0], "best_exact": [4, 0]}',
-        '{"version": 2, "n": 4, "t": 1, "mode": "inst", "F": 6, "next_counter": 7, '
-        '"orbits_scanned": 3, "scanned": 38, "best": null, "best_exact": [4, 0]}',
+        '"best": null}',  # legacy, no version
+        '{"version": 3, "n": 4, "t": 1, "mode": "inst", "F": 6, "next_counter": 65, '
+        '"orbits_scanned": 0, "scanned": 0, "best": null}',
+        # three of the seven orbits scored, with a forged and a missing minimum
+        '{"version": 3, "n": 4, "t": 1, "mode": "inst", "F": 6, "next_counter": 7, '
+        '"orbits_scanned": 3, "scanned": 38, "best": [-1, 0]}',
+        '{"version": 3, "n": 4, "t": 1, "mode": "inst", "F": 6, "next_counter": 7, '
+        '"orbits_scanned": 3, "scanned": 38, "best": null}',
+        # the finished sweep as the v2 format wrote it, with a second minimum
+        '{"n": 4, "t": 1, "mode": "inst", "F": 6, "version": 2, "next_counter": 64, '
+        '"orbits_scanned": 7, "scanned": 64, "best": [3, 7], "best_exact": [3, 7]}',
     ],
 )
 def test_search_resume_refuses_bad_checkpoint(tmp_path, capsys, content):
@@ -444,34 +458,6 @@ def test_seed_outside_verify_exit_2(capsys, args):
     assert exc.value.code == 2 and captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("invalid parameters: ")
-
-
-def test_search_report_carries_exact_radius_minimum(monkeypatch, capsys):
-    # no sweep within the free-point gate has an exact-radius minimum apart
-    # from its plain one, so a hand-built result stands in for the sweep
-    import geostab.cli as cli_mod
-    from geostab.search import SearchResult
-
-    spec = ColouringSpec(kind="table", n=5, table=bytes(16) + bytes([1]) * 16)
-    exact = ColouringSpec(kind="majority", n=5, t=2, k=5)
-    res = SearchResult(n=5, t=1, mode="inst", minimum=3, argmin=spec, colourings_scanned=64,
-                       orbits_scanned=8, elapsed=0.5, minimum_exact_tf=5, argmin_exact_tf=exact)
-    monkeypatch.setattr(cli_mod, "min_inst_exhaustive", lambda n, t, checkpoint_path: res)
-    code, report = run_json(["search", "--n", "5", "--t", "1"], capsys)
-    assert code == 0
-    out = report["outputs"]
-    assert (out["minimum"], out["minimum_exact_tf"]) == (3, 5)
-    assert spec_from_json_dict(out["argmin_exact_tf"]) == exact
-    code, text = run_cli(["--format", "csv", "search", "--n", "5", "--t", "1"], capsys)
-    assert code == 0
-    assert list(csv.DictReader(io.StringIO(text))) == [
-        {"n": "5", "t": "1", "k": "", "mode": "search-inst", "value": "3", "witness": ""}]
-    monkeypatch.setattr(cli_mod, "min_inst_exhaustive",
-                        lambda n, t, checkpoint_path: dataclasses.replace(
-                            res, minimum_exact_tf=None, argmin_exact_tf=None))
-    _, report = run_json(["search", "--n", "5", "--t", "1"], capsys)
-    assert "minimum_exact_tf" not in report["outputs"]
-    assert "argmin_exact_tf" not in report["outputs"]
 
 
 @pytest.mark.parametrize("suite", ["majo", "block", "conjecture"])

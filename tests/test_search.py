@@ -11,7 +11,7 @@ import pytest
 from geostab import search
 from geostab.colourings import ColouringSpec, free_point_codes, make
 from geostab.errors import CapacityError, ValidationError
-from geostab.hypercube import weights_vector
+from geostab.hypercube import MAX_POINT_DIMENSION, weights_vector
 from geostab.instability import (
     inst_bruteforce,
     inst_exact,
@@ -84,14 +84,14 @@ def test_winst_relay_inequality_at_small_sizes():
 
 
 def _partial_checkpoint(n, t, mode, done=None):
-    """The v2 checkpoint of a sweep that has scored the first ``done`` orbit
+    """The v3 checkpoint of a sweep that has scored the first ``done`` orbit
     representatives, by default half of them."""
     free = free_point_codes(n, t)
     reps, sizes = search._orbits(n, free)
     done = len(reps) // 2 if done is None else done
-    best, best_exact = search._score(n, t, mode, reps[:done])
+    best = search._score(n, t, mode, reps[:done])
     return {
-        "version": 2,
+        "version": 3,
         "n": n,
         "t": t,
         "mode": mode,
@@ -100,7 +100,6 @@ def _partial_checkpoint(n, t, mode, done=None):
         "orbits_scanned": done,
         "scanned": int(sizes[:done].sum()),
         "best": best and list(best),
-        "best_exact": best_exact and list(best_exact),
     }
 
 
@@ -141,7 +140,7 @@ _DROP = object()
         "[1, 2]",
         {"version": _DROP, "F": _DROP, "orbits_scanned": _DROP},  # legacy format
         {"best": _DROP, "scanned": _DROP},
-        {"version": 3},
+        {"version": 2},
         {"next_counter": (1 << 14) + 1},
         {"next_counter": -1},
         {"next_counter": "7"},
@@ -153,16 +152,16 @@ _DROP = object()
         {"scanned": 1 << 13},
         {"orbits_scanned": 3},
         {"best": [3, 1 << 14]},
-        {"best_exact": "3,0"},
-        # each minimum must be a scored representative's own value; "sweep"
+        {"best": "2,0"},  # the minimum as text
+        # the minimum must be a scored representative's own value; "sweep"
         # and "done" pick the partial checkpoint the change is applied to
         {"best": None},
         {"best": [-1, 0]},
-        {"best_exact": [3, 0]},  # counter 0 scores 2
+        {"best": [3, 0]},  # counter 0 scores 2
         {"best": [2, 2]},  # counter 2 is not a representative
         {"best": [4, 1100]},  # a representative above next_counter 1099
-        {"sweep": "winst", "best": [2, 0]},
-        {"done": 512, "best_exact": [4, 13376]},  # counter 13376 has radius 1
+        {"sweep": "winst", "best": [4, 3]},  # counter 3's inst value; its winst value is 3
+        {"sweep": "winst", "done": 512, "best": [4, 13376]},  # counter 13376 has radius 1
         # counter 3 is a scored representative of value 4, not the minimum 2
         {"best": [4, 3]},
         # each field must be the JSON text the sweep writes, and no other
@@ -170,6 +169,8 @@ _DROP = object()
         {"orbits_scanned": 259.0},  # the true count, as a float
         {"F": 14.0},
         {"extra": 1},
+        # the state a v2 sweep wrote: version 2 and a second minimum
+        {"version": 2, "best_exact": [2, 0]},
     ],
 )
 def test_checkpoint_refused(tmp_path, change):
@@ -187,16 +188,16 @@ def test_checkpoint_refused(tmp_path, change):
         runner(4, 0, checkpoint_path=str(path))
 
 
-# checkpoints as written by the v2 format's first writer, each with its
+# checkpoints as written by the v3 format's first writer, each with its
 # place among the writes of a sweep in chunks of 100 representatives: the
 # first write of the (5,1) inst sweep and the last of the (4,1) winst sweep
 _PINNED = {
-    (5, 1, "inst"): (0, '{"n": 5, "t": 1, "mode": "inst", "F": 20, "version": 2, '
+    (5, 1, "inst"): (0, '{"n": 5, "t": 1, "mode": "inst", "F": 20, "version": 3, '
                     '"next_counter": 1062, "orbits_scanned": 100, "scanned": 10677, '
-                    '"best": [4, 0], "best_exact": [4, 0]}'),
-    (4, 1, "winst"): (-1, '{"n": 4, "t": 1, "mode": "winst", "F": 6, "version": 2, '
+                    '"best": [4, 0]}'),
+    (4, 1, "winst"): (-1, '{"n": 4, "t": 1, "mode": "winst", "F": 6, "version": 3, '
                      '"next_counter": 64, "orbits_scanned": 7, "scanned": 64, '
-                     '"best": null, "best_exact": [3, 7]}'),
+                     '"best": [3, 7]}'),
 }
 
 
@@ -275,11 +276,39 @@ def test_reduced_sweep_matches_unreduced(n, t, mode):
     f = make(r.argmin)
     assert (r.minimum, _counter_of(f, n, t)) == (best if mode == "inst" else best_exact)
     if mode == "inst":
-        if best_exact == best:
-            assert r.minimum_exact_tf is None and r.argmin_exact_tf is None
-        else:
-            fe = make(r.argmin_exact_tf)
-            assert (r.minimum_exact_tf, _counter_of(fe, n, t)) == best_exact
+        # the inst sweep keeps one minimum because, at every pair where the
+        # radius may exceed t, its minimum already has radius exactly t
+        assert best == best_exact
+
+
+def _free_count(n, t):
+    """F, the points with weight strictly between t and n - t."""
+    return sum(math.comb(n, w) for w in range(t + 1, n - t))
+
+
+def test_radius_above_t_is_gated_to_three_pairs():
+    # a radius of at least t is exactly t when n <= 2t + 2, so only the
+    # pairs with n >= 2t + 3 can hold colourings of a larger radius; the
+    # free-point gate admits three of them, each checked by
+    # test_reduced_sweep_matches_unreduced
+    for n in range(1, 13):
+        for t in range((n - 1) // 2 + 1):
+            assert _free_count(n, t) == len(free_point_codes(n, t))
+    wide = [(n, t) for n in range(1, MAX_POINT_DIMENSION + 1) for t in range((n - 1) // 2 + 1)
+            if n >= 2 * t + 3 and _free_count(n, t) <= search.MAX_FREE_POINTS]
+    assert wide == [(3, 0), (4, 0), (5, 1)]
+
+
+def test_winst_batch_without_exact_radius_keeps_the_prior_minimum():
+    # colour the weight-3 free points of (5,1) 1 and the weight-2 ones 0:
+    # both layers join the balls, so the radius is 2 and winst skips it
+    free = free_point_codes(5, 1)
+    counter = sum(1 << j for j, x in enumerate(free) if bin(int(x)).count("1") == 3)
+    assert search._colouring_from_counter(5, 1, counter).t_f == 2
+    counters = np.array([counter])
+    for prior in (None, (3, 7)):
+        assert search._score(5, 1, "winst", counters, prior) == prior
+    assert search._score(5, 1, "inst", counters, (9, 7)) == (5, counter)
 
 
 @pytest.mark.parametrize("n, t, orbits", [(4, 0, 518), (5, 1, 5466), (6, 2, 1118)])

@@ -1,7 +1,8 @@
 """Source checks that need no linter: every local a function binds and every
-parameter it takes is read."""
+parameter it takes is read, and every module-private name is used."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "geostab").glob("*.py"))
@@ -75,6 +76,41 @@ def _unread_params(tree):
                 yield func.name, p.arg, p.lineno
 
 
+def _private_definitions(tree):
+    """(name, line, node) of each function, class and constant a module
+    defines at its top level under a private name, one leading underscore."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            found = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found = [(name.id, name.lineno) for t in targets for name in _names(t)]
+        else:
+            continue
+        yield from ((name, line, node) for name, line in found
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _references(tree):
+    """Every name ``tree`` reads, by name or as an attribute, with repeats."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _unreferenced_private(trees):
+    """(module, name, line) of each module-private name that no module in
+    ``trees`` (module name to syntax tree) reads outside its own
+    definition."""
+    uses = Counter(name for tree in trees.values() for name in _references(tree))
+    for module, tree in trees.items():
+        for name, line, node in _private_definitions(tree):
+            if uses[name] == Counter(_references(node))[name]:
+                yield module, name, line
+
+
 def _findings(check):
     return [f"{path.name}:{line} {func}.{name}"
             for path in SOURCES
@@ -91,6 +127,13 @@ def test_every_parameter_is_read():
     assert SOURCES
     unread = _findings(_unread_params)
     assert not unread, unread
+
+
+def test_every_private_name_is_used():
+    assert SOURCES
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    unused = [f"{module}:{line} {name}" for module, name, line in _unreferenced_private(trees)]
+    assert not unused, unused
 
 
 def test_the_check_flags_a_dead_local():
@@ -118,3 +161,29 @@ def test_the_check_flags_an_unread_parameter():
         "    return g, rest\n"
     )
     assert list(_unread_params(tree)) == [("f", "unused", 1), ("g", "y", 2)]
+
+
+def test_the_check_flags_an_unused_private_name():
+    trees = {
+        "a.py": ast.parse(
+            "import b\n"
+            "_LIMIT = 3\n"
+            "_UNUSED, _SHOWN = 4, 5\n"
+            "__version__ = '1'\n"
+            "def _used():\n"
+            "    def _nested():\n"
+            "        return 1\n"
+            "    return b._helper(_LIMIT)\n"
+            "def _dead():\n"
+            "    return _dead()\n"
+            "class _Box:\n"
+            "    pass\n"
+        ),
+        "b.py": ast.parse(
+            "from a import _used, _SHOWN\n"
+            "def _helper(x):\n"
+            "    return x, _used(), _SHOWN\n"
+        ),
+    }
+    assert list(_unreferenced_private(trees)) == [
+        ("a.py", "_UNUSED", 3), ("a.py", "_dead", 9), ("a.py", "_Box", 11)]
