@@ -10,10 +10,13 @@ balls, the radius t_f, inst and winst.  A sweep therefore scores one
 counter per orbit of this group of order 2 n!: the orbit's least counter,
 its representative.  The group is listed directly, once per sweep: every
 coordinate permutation, without and with the complement map, as its
-action on counter bits.  The orbits are then found by a scan in ascending
-counter order over a 2^F bitmap of covered counters: the first uncovered
-counter starts a new orbit, which is the set of its images under every
-action.  A sweep reports the
+action on counter bits, which moves each free point's bit to the position
+of its image and flips every bit under the complement map.  The actions
+are then tabulated as integer lookup rows, one table per 5-bit chunk of a
+counter, so the images of a counter under every action are the XOR of one
+row per chunk.  The orbits are found by a scan in ascending counter order
+over a 2^F bitmap of covered counters: the first uncovered counter starts
+a new orbit, which is the set of its images.  A sweep reports the
 representatives scored (``orbits_scanned``) and the colourings they cover,
 the sum of their orbit sizes (``colourings_scanned``), which is 2^F for a
 finished sweep.  Every orbit member has its representative's value and the
@@ -63,6 +66,10 @@ MAX_FREE_POINTS = 22
 DEFAULT_BATCH = 4096
 CHECKPOINT_VERSION = 3
 _RETRY_CAP = 10_000
+# counter bits per lookup table of _orbits: a table holds 2^_CHUNK_BITS rows of
+# one int64 per action, 0.37 MB at (6,2), so its memory doubles with each bit
+_CHUNK_BITS = 5
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,9 @@ def _group(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bits = ((free[:, None] >> np.arange(n)) & 1).astype(np.uint8)
     images = bits[:, perms] @ (1 << np.arange(n))  # (F, n!): bit k of an image is bit perm[k]
     images = np.concatenate([images, images ^ ((1 << n) - 1)], axis=1).T
-    weights = np.left_shift(1, np.searchsorted(free, images), dtype=np.int64)
+    position = np.zeros(1 << n, dtype=np.int64)
+    position[free] = np.arange(F)
+    weights = np.left_shift(1, position[images], dtype=np.int64)
     masks = np.repeat(np.array([0, (1 << F) - 1], dtype=np.int64), len(perms))
     return weights, masks
 
@@ -134,14 +143,23 @@ def _orbits(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``_group`` lists each group element once (or, with F = 0, two actions
     that both fix the one counter), so by orbit-stabiliser the orbit's size
     is the number of listed actions over the number that fix that counter.
-    The images are summed as float64, where the product runs in BLAS; every
-    weight is a power of two below 2^F, so every sum is an integer below
-    2^F <= 2^22 and exact.
+
+    The images ``masks ^ (weights @ bits)`` are read from integer lookup
+    rows.  The counter is cut into chunks of ``_CHUNK_BITS`` bits; chunk k
+    has a table whose row v holds, for every action, the XOR of the weights
+    of the counter bits that v sets in that chunk, and chunk 0's rows also
+    carry ``masks``.  Each action's weights are distinct powers of two, so
+    its weighted sum over a bit vector has no carries and equals the XOR of
+    the weights it selects: the images are the XOR of one row per chunk.
     """
     weights, masks = _group(n, free)
-    weights = weights.astype(np.float64)
-    positions = np.arange(len(free))
-    uncovered = np.ones(1 << len(free), dtype=bool)
+    F = len(free)
+    rows = [masks[None, :]]
+    for j in range(F):
+        if j and j % _CHUNK_BITS == 0:
+            rows.append(np.zeros((1, len(masks)), dtype=np.int64))
+        rows[-1] = np.concatenate([rows[-1], rows[-1] ^ weights[:, j]])
+    uncovered = np.ones(1 << F, dtype=bool)
     reps: list[int] = []
     sizes: list[int] = []
     rep = 0
@@ -149,7 +167,9 @@ def _orbits(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rep += int(uncovered[rep:].argmax())
         if not uncovered[rep]:
             break
-        images = masks ^ (weights @ ((rep >> positions) & 1)).astype(np.int64)
+        images = rows[0][rep & _CHUNK_MASK]
+        for k in range(1, len(rows)):
+            images = images ^ rows[k][(rep >> (k * _CHUNK_BITS)) & _CHUNK_MASK]
         uncovered[images] = False
         reps.append(rep)
         sizes.append(len(images) // int(np.count_nonzero(images == rep)))
@@ -208,6 +228,8 @@ def _resume_point(
         return 0, None
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read checkpoint {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"checkpoint {path} nests too deeply to read") from exc
     if not isinstance(state, dict):
         raise ValidationError(f"checkpoint {path} is not a JSON object")
     total, counter = 1 << key["F"], state.get("next_counter")

@@ -4,6 +4,7 @@ Deterministic (``derandomize=True``), so a failure reproduces on every run.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -12,8 +13,9 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geostab import search
 from geostab.cli import main
-from geostab.colourings import KINDS, TIE_RULES
+from geostab.colourings import KINDS, TIE_RULES, free_point_codes
 
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
@@ -131,3 +133,95 @@ def test_table_text_outcome_is_an_exit_code(case, via_spec):
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
         assert not (well_formed and int(digits, 16) >> (1 << k) == 0), text
+
+
+@functools.cache
+def _sweep_4_0(mode):
+    """The orbit representatives and sizes of the (4,0) sweep and its fresh
+    result: minimum and argmin as the ``search`` report gives them."""
+    reps, sizes = search._orbits(4, free_point_codes(4, 0))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "r.json")
+        assert main(["search", "--n", "4", "--t", "0", "--mode", mode, "--out", out]) == 0
+        with open(out) as fh:
+            outputs = json.load(fh)["outputs"]
+    return reps, sizes, (outputs["minimum"], outputs["argmin"])
+
+
+def _valid_checkpoint(mode, done):
+    """The v3 checkpoint the (4,0) sweep writes once it has scored its first
+    ``done`` representatives."""
+    reps, sizes, _ = _sweep_4_0(mode)
+    key = {"n": 4, "t": 0, "mode": mode, "F": 14}
+    best = search._score(4, 0, mode, reps[:done]) if done else None
+    return search._checkpoint(key, reps, sizes, done, best)
+
+
+@st.composite
+def _checkpoint_text(draw):
+    """A checkpoint of the (4,0) sweep, often valid, for either mode and
+    after 0, 1, half or all of its 518 representatives; then at most one
+    corruption (a junk, boolean or nudged value, a dropped or unknown field,
+    truncated text)."""
+    state = _valid_checkpoint(draw(st.sampled_from(["inst", "winst"])),
+                              draw(st.sampled_from([0, 1, 259, 517, 518])))
+    corruption = draw(st.sampled_from(
+        ["none", "none", "junk", "true", "nudge", "drop", "extra", "truncate"]))
+    name = draw(st.sampled_from(sorted(state)))
+    if corruption == "junk":
+        state[name] = draw(_JUNK)
+    elif corruption == "true":
+        ints = [k for k, v in state.items() if type(v) is int]
+        state[draw(st.sampled_from(ints))] = True
+    elif corruption == "nudge" and type(state[name]) is int:
+        state[name] += draw(st.sampled_from([-2, -1, 1, 2, 1 << 40]))
+    elif corruption == "nudge" and name == "best" and state["best"]:
+        state["best"] = [state["best"][0], state["best"][1] + draw(st.sampled_from([-1, 1]))]
+    elif corruption == "drop":
+        del state[name]
+    elif corruption == "extra":
+        state[draw(st.text(max_size=5))] = draw(_JUNK)
+    text = json.dumps(state)
+    if corruption == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+_CHECKPOINT_DOCUMENT = st.one_of(
+    _checkpoint_text(),
+    _checkpoint_text(),
+    _checkpoint_text(),
+    st.one_of(_JUNK, st.lists(_checkpoint_text(), max_size=1)).map(json.dumps),
+    st.integers(0, 10**5).map(lambda depth: "[" * depth + "]" * depth),  # nested
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(document=_CHECKPOINT_DOCUMENT, mode=st.sampled_from(["inst", "winst"]))
+def test_checkpoint_outcome_is_an_exit_code(document, mode):
+    reps, _, fresh = _sweep_4_0(mode)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "sweep.json"), os.path.join(tmp, "r.json")
+        with open(path, "w") as fh:
+            fh.write(document)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["search", "--n", "4", "--t", "0", "--mode", mode, "--resume", path,
+                         "--out", out])
+        if code == 0:
+            with open(out) as fh:
+                outputs = json.load(fh)["outputs"]
+    # a resume is accepted only from the very state the sweep writes
+    try:
+        state = json.loads(document)
+    except (json.JSONDecodeError, RecursionError):
+        state = None
+    done = state.get("orbits_scanned") if isinstance(state, dict) else None
+    valid = type(done) is int and 0 <= done <= len(reps) and (
+        json.dumps(state) == json.dumps(_valid_checkpoint(mode, done)))
+    assert code == (0 if valid else 2), (code, err.getvalue())
+    if code == 0:
+        assert err.getvalue() == ""
+        assert (outputs["minimum"], outputs["argmin"]) == fresh
+    else:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,7 @@ _DROP = object()
         {"extra": 1},
         # the state a v2 sweep wrote: version 2 and a second minimum
         {"version": 2, "best_exact": [2, 0]},
+        pytest.param("[" * 10**5 + "]" * 10**5, id="nested"),  # too deep for the JSON reader
     ],
 )
 def test_checkpoint_refused(tmp_path, change):
@@ -364,23 +366,44 @@ def test_group_preserves_values(n, t):
                 assert inst_bruteforce(g) == inst_exact(f).value
 
 
-@pytest.mark.parametrize("n, t", [(3, 0), (4, 0), (4, 1)])
+@pytest.mark.parametrize("n, t", [(3, 0), (4, 0), (4, 1), (5, 1), (6, 2)])
 def test_orbits_match_lex_leader_oracle(n, t):
-    # a counter is a representative iff it is <= each of its images under
-    # the test-side actions; its orbit is the set of those images
+    # a counter's orbit is the set of its images under the test-side
+    # actions, and its representative is the least of them; every counter
+    # is checked up to F = 14, and at F = 20 the counters 0..31, whose
+    # orbits are small, and 224 seeded ones
     free = free_point_codes(n, t)
-    counters = np.arange(1 << len(free))
+    F = len(free)
+    counters = np.arange(1 << F)
+    if F > 14:
+        counters = np.concatenate([np.arange(32), np.random.default_rng(n).integers(0, 1 << F, 224)])
     images = []
     for points, comp in _test_actions(n):
         dest = np.searchsorted(free, points[free])
         moved = sum(((counters >> j) & 1) << d for j, d in enumerate(dest))
-        images.append(moved ^ ((1 << len(free)) - 1) if comp else moved)
+        images.append(moved ^ ((1 << F) - 1) if comp else moved)
     images = np.sort(images, axis=0)
-    leaders = counters == images[0]
     sizes = 1 + (np.diff(images, axis=0) != 0).sum(axis=0)
     reps, orbit_sizes = search._orbits(n, free)
-    assert np.array_equal(reps, counters[leaders])
-    assert np.array_equal(orbit_sizes, sizes[leaders])
+    at = np.minimum(np.searchsorted(reps, images[0]), len(reps) - 1)
+    assert np.array_equal(reps[at], images[0])
+    assert np.array_equal(orbit_sizes[at], sizes)
+    if F <= 14:
+        assert np.array_equal(reps, counters[counters == images[0]])
+
+
+def test_orbit_lookup_rows_stay_small():
+    # the memory of the lookup rows doubles with each chunk bit: at (6,2),
+    # 1,440 actions and a 2^20 bitmap, 5-bit rows peak near 2.8 MiB and
+    # 7-bit ones near 4.9 MiB, which would show in the sweep's peak RSS
+    free = free_point_codes(6, 2)
+    tracemalloc.start()
+    try:
+        search._orbits(6, free)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20, peak
 
 
 def test_orbits_without_free_points():
