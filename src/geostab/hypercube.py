@@ -16,6 +16,7 @@ All functions here are pure; values are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -163,12 +164,15 @@ def layer_points(n: int, w: int) -> Iterator[Point]:
         yield Point(n, code)
 
 
+@lru_cache(maxsize=None)
 def weights_vector(n: int) -> np.ndarray:
-    """Popcount of every code in [0, 2^n), as uint8."""
+    """Popcount of every code in [0, 2^n), as uint8; one read-only array per
+    n, shared by every caller."""
     codes = np.arange(1 << n, dtype=np.uint32)
     w = np.zeros(1 << n, dtype=np.uint8)
     for b in range(n):
         w += ((codes >> b) & 1).astype(np.uint8)
+    w.setflags(write=False)
     return w
 
 

@@ -25,17 +25,20 @@ the whole column of its one end, 2^n bytes.
 A single colouring fills fewer columns still.  A swap of two coordinates
 that fixes f maps geodesics to geodesics with the same jumps, start
 weight and start and end colours, so the engines keep one start per orbit
-of the swaps, the least; and since no geodesic makes more than n jumps,
-a probe of the first 2^(n//2) kept starts that reaches n ends the fill.
-The probe keeps its columns whole, 2^n * 2^(n//2) bytes (512 KB at
-n = 13), so the witness of a first maximal start among them comes from
-the fill that found its value; a start past the probe has its one column
-refilled.  Besides the probe's columns, the layers take at most
-2 * C(n, n//2) * 2^(n-1) bytes for inst (14 MB at n = 13, 56 MB at
-n = 14) and 2 * C(n, n//2) * C(n, t+1) for winst: bounds that an input
-with no swap symmetry and value below n meets, while the majority and
-partition colourings keep a few hundred starts at most.  The batch
-kernels score every start of every row.
+of the swaps, the least.  At most 2^(n//2) kept starts are filled at once;
+past that, since no geodesic makes more than n jumps, a probe of the first
+2^(n//4) kept starts that reaches n ends the fill, and one that does not
+is followed by a fill of every kept start from the first, so the ends stay
+whole colour blocks.  Each fill builds the colour blocks of the low halves
+its ends use only, which keeps a narrow fill cheap.  The probe keeps its
+columns whole, 2^n * 2^(n//4) bytes (64 KB at n = 13), so the witness of a
+first maximal start among them comes from the fill that found its value; a
+start past the probe has its one column refilled.  Besides the probe's
+columns, the layers take at most 2 * C(n, n//2) * 2^(n-1) bytes for inst
+(14 MB at n = 13, 56 MB at n = 14) and 2 * C(n, n//2) * C(n, t+1) for
+winst: bounds that an input with no swap symmetry and value below n
+meets, while the majority and partition colourings keep a few hundred
+starts at most.  The batch kernels score every start of every row.
 
 A literal brute-force enumerator over all starts and flip permutations is
 kept as an independent oracle for cross-checking at tiny dimensions.
@@ -93,9 +96,10 @@ def dimension_cap(explicit: Optional[int] = None) -> int:
     radius t, times the number of colourings scored together.  A single
     colouring reaches these bounds only without swap symmetry and with a
     value below n: its layers hold one start per orbit of the coordinate
-    swaps that fix it, and stop at a probe of 2^(n//2) starts that reaches
-    n.  The probe's columns, kept whole for the witness, add 2^n * 2^(n//2)
-    bytes (512 KB at n = 13, 4 MB at n = 15).
+    swaps that fix it, and stop at a probe of 2^(n//4) starts that reaches
+    n.  The probe's columns, kept whole for the witness, add 2^n * 2^(n//4)
+    bytes (64 KB at n = 13, 256 KB at n = 15), or 2^n bytes per kept start
+    when at most 2^(n//2) are kept and all are filled at once.
     """
     if explicit is not None:
         return explicit
@@ -173,21 +177,25 @@ def _dp_layers(
     prev[0] = T[ends]
     yield layers[0][0], prev
     # The colours f(z^S) of row S, with z split into high and low halves:
-    # A[g*L + s] is block g of the colours with the low half xor-ed by s, so
-    # row S gathers the blocks A[S ^ (h << l)] for the distinct high halves
-    # h of ``ends``, then selects the columns of ``ends`` unless they are
-    # those whole blocks.
+    # A[g*L + s, j] is the colour of high half g and low half s ^ lows[j],
+    # for the distinct low halves ``lows`` of ``ends``, so row S gathers the
+    # blocks A[S ^ (h << l)] for the distinct high halves h of ``ends``,
+    # then selects the columns of ``ends`` unless they are every pair (h, j).
     l = n // 2
     L = 1 << l
-    low = np.arange(L)
-    A = T.reshape(N >> l, L, B).take(low[:, None] ^ low, axis=1).reshape(N, L, B)
+    lo = ends & (L - 1)
+    used = np.zeros(L, dtype=bool)
+    used[lo] = True
+    lows = np.flatnonzero(used)
+    A = T.reshape(N >> l, L, B).take(np.arange(L)[:, None] ^ lows, axis=1).reshape(N, len(lows), B)
     hi = ends >> l  # ascending, as ``ends`` are
     high = hi[np.concatenate(([True], hi[1:] != hi[:-1]))]
-    if len(ends) == len(high) * L:
+    width = len(high) * len(lows)
+    if len(ends) == width:
         cols = None
     else:
-        cols = np.searchsorted(high, hi) * L + (ends & (L - 1))
-    rows = max(1, _BLOCK_BYTES // max(1, (2 * len(ends) + len(high) * L) * B))
+        cols = np.searchsorted(high, hi) * len(lows) + np.searchsorted(lows, lo)
+    rows = max(1, _BLOCK_BYTES // max(1, (2 * len(ends) + width) * B))
     # one gathered predecessor of a block; ``take`` buffers its output under
     # mode="raise", and the ranks are always in range, so "clip" clips none
     X = np.empty((min(rows, len(buffers[0])), len(ends), B), dtype=np.int8)
@@ -302,20 +310,25 @@ def _best_start(
     witness, or a None report when ``starts`` is empty.
 
     Only the starts least in their orbit under the swaps that fix f are
-    filled, and none after a probe that reaches n.  This is exact when the
-    first maximal start is one of them: ``starts`` closed under the swaps,
-    or inst's starts below 2^(n-1), which by reversal hold the first
-    maximal start of the whole cube."""
+    filled.  At most 2^(n//2) of them are filled at once.  More are probed
+    first, 2^(n//4) of them, and if none reaches n every kept start is
+    filled from the first, so the ends stay whole colour blocks; a column
+    is its own DP, so this gives the values of one fill.  The witness
+    column is the probe's when the first maximal start is in it, else a
+    refill of that one start.  This is exact when the first maximal start
+    is one of the kept starts: ``starts`` closed under the swaps, or inst's
+    starts below 2^(n-1), which by reversal hold the first maximal start of
+    the whole cube."""
     n = f.n
     table = f.table()
     starts = _orbit_least(starts, _swap_blocks(table, n))
     if starts.size == 0:
         return InstabilityReport(mode=mode, value=None, witness=None, t_used=t_used)
-    columns = _start_columns(table, n, starts[:1 << (n // 2)])
-    probe = columns.shape[1]
+    probe = starts.size if starts.size <= 1 << (n // 2) else 1 << (n // 4)
+    columns = _start_columns(table, n, starts[:probe])
     top = columns[-1] >> 1
     if top.max() < n and starts.size > probe:
-        top = np.concatenate((top, _start_values(table[None], n, starts[probe:])[0]))
+        top = _start_values(table[None], n, starts)[0]
     i = int(np.argmax(top))
     start = int(starts[i])
     # the witness column is the probe's, or a refill of the one start past it

@@ -16,6 +16,7 @@ from geostab.hypercube import (
     layer_points,
     reverse,
     weight,
+    weights_vector,
 )
 
 
@@ -91,6 +92,15 @@ def test_layer_sizes_sum_to_cube():
     n = 6
     assert sum(comb(n, w) for w in range(n + 1)) == 2**n
     assert all(len(list(layer_points(n, w))) == comb(n, w) for w in range(n + 1))
+
+
+def test_weights_vector_is_one_read_only_array_per_n():
+    for n in range(1, 9):
+        w = weights_vector(n)
+        assert w is weights_vector(n)
+        assert w.tolist() == [weight(Point(n, c)) for c in range(1 << n)]
+        with pytest.raises(ValueError):
+            w[0] = 1
 
 
 def test_text_form_round_trip():

@@ -1,7 +1,11 @@
 """Exact engines against literal enumeration oracles."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,8 @@ from geostab.instability import (
     winst_values_batch,
 )
 from geostab.search import random_colouring
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def maj(n, t, k):
@@ -282,9 +288,12 @@ def test_reference_fill_top_row_matches_engines(B):
 
 def _column_sets(n):
     """Ascending end-point sets the kernel is checked on: all columns, the
-    upper half (inst's), one weight layer (winst's), a seeded random subset
-    and a single column."""
+    upper half (inst's), one weight layer (winst's), a seeded random subset,
+    a single column, every high half with one low half (the colour blocks
+    of a single low half) and the upper half less its first three columns
+    (a partial first colour block)."""
     N = 1 << n
+    L = 1 << (n // 2)
     rng = np.random.default_rng(70 + n)
     return {
         "all": np.arange(N),
@@ -292,6 +301,8 @@ def _column_sets(n):
         "weight layer": np.nonzero(weights_vector(n) == n // 2)[0],
         "random": np.sort(rng.choice(N, size=max(1, N // 3), replace=False)),
         "single": np.array([rng.integers(N)]),
+        "one low half": np.arange(0, N, L) + rng.integers(L),
+        "partial first block": np.arange(min(N // 2 + 3, N - 1), N),
     }
 
 
@@ -387,13 +398,15 @@ def _traced_peak(engine, f=None):
 
 @pytest.mark.parametrize(
     "engine, bound",
-    [(inst_exact, 0.6 * 4**12), (winst_exact, 4**12 / 8)],
+    [(inst_exact, 4**12 / 64), (winst_exact, 4**12 / 64)],
     ids=["inst", "winst"],
 )
 def test_engine_memory_is_the_columns_it_reads(engine, bound):
     # inst fills at most the 2^n/2 columns of its starts and winst at most
     # C(12, 3) = 220 of 4096, each in two layers of at most C(12, 6) = 924
-    # rows, and the probe keeps its 2^6 columns whole, 4^12/64 bytes
+    # rows; this colouring reaches n in the probe of the first 2^(12//4)
+    # kept starts, whose columns are kept whole, 2^12 * 2^3 = 4^12/512
+    # bytes, and the peak is near 4^12/128
     assert _traced_peak(engine) < bound
 
 
@@ -417,11 +430,28 @@ def test_inst_memory_is_two_layers():
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_symmetric_inst_fills_few_columns(k):
     # maj_2(k) is fixed by every swap among its first k coordinates and among
-    # the rest, so at most (k+1)(13-k) <= 48 starts are least in their orbit;
-    # the peak is the colour blocks and the probe's whole columns, at most
-    # 4^12/64 bytes each, far below two layers of 2048 columns
+    # the rest, so at most (k+1)(13-k) <= 48 starts are least in their orbit,
+    # all filled at once; the peak is their whole columns, the colour blocks
+    # of the low halves their ends use and one block of rows, at most
+    # 4^12/64 bytes each and near 4^12/30 together, far below two layers of
+    # 2048 columns
     f = make(ColouringSpec(kind="majority", n=12, t=2, k=k))
-    assert _traced_peak(inst_exact, f) < 4**12 / 16
+    assert _traced_peak(inst_exact, f) < 4**12 / 20
+
+
+def test_inst_command_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma adds about 1.6 MB to a process; no engine path needs it
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "majority", "n": 8, "t": 2, "k": 3}')
+    code = ("import sys; from geostab import cli; cli.main(sys.argv[1:]); "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, "inst", "--colouring", str(spec),
+                           "--out", str(tmp_path / "r.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def _lex_least_optimal(f, admissible):
@@ -618,17 +648,30 @@ def test_orbit_filter_and_early_stop_match_unreduced_fill():
                             f.spec, w0, sc, ec)
 
 
+def _witness_source(values, n):
+    """Where ``_best_start`` takes the witness column of the first maximal
+    start among kept starts of these values: the one fill of at most
+    2^(n//2) starts, the probe of the first 2^(n//4) that reaches n and
+    stops, the probe's columns after the fill of every start, or a refill
+    of the one column past the probe."""
+    i = int(np.argmax(values))
+    if len(values) <= 1 << (n // 2):
+        return "one fill"
+    probe = 1 << (n // 4)
+    if values[:probe].max() == n:
+        return "probe stop"
+    return "probe column" if i < probe else "refill"
+
+
 def test_witness_from_probe_or_refill_matches_fresh_refill():
-    # on tables that no swap fixes, every admissible start is filled: the
-    # first maximal start lies in the probe of the first 2^(n//2) starts,
-    # whose columns give the witness, or past it, where its column is
-    # refilled; either way the witness is the descent through a fresh
-    # one-column fill of that start
+    # on tables that no swap fixes, every admissible start is kept; the
+    # witness is the descent through a fresh one-column fill of the first
+    # maximal start, wherever its column came from
     from geostab.instability import _reconstruct, _start_columns, _start_values, _swap_blocks
 
     rng = np.random.default_rng(31)
     seen = {"inst": set(), "winst": set()}
-    for n in range(1, 10):
+    for n in range(1, 11):
         N = 1 << n
         for t in range((n - 1) // 2 + 1):
             for _ in range(4):
@@ -640,13 +683,55 @@ def test_witness_from_probe_or_refill_matches_fresh_refill():
                 ok = well & ((table == 1) | (table[::-1] == 0))
                 for rep, starts in ((inst_exact(f), np.arange(N // 2)),
                                     (winst_exact(f), np.nonzero(ok)[0])):
-                    i = int(np.argmax(_start_values(table[None], n, starts)[0]))
+                    values = _start_values(table[None], n, starts)[0]
+                    i = int(np.argmax(values))
                     start = int(starts[i])
                     order = _reconstruct(_start_columns(table, n, starts[i:i + 1])[:, 0],
                                          table, n, start)
                     assert rep.witness == Geodesic(Point(n, start), order), (f.spec, rep.mode)
-                    seen[rep.mode].add(i < 1 << (n // 2))
-    assert seen == {"inst": {True, False}, "winst": {True, False}}
+                    seen[rep.mode].add(_witness_source(values, n))
+    for mode in seen:
+        assert {"one fill", "probe stop", "refill"} <= seen[mode], (mode, seen[mode])
+
+
+def _fills(monkeypatch, f):
+    """The ``ends`` of every ``_dp_layers`` call that inst_exact(f) makes."""
+    from geostab import instability
+
+    fills = []
+    kernel = instability._dp_layers
+
+    def spy(tables, n, ends):
+        fills.append(ends.copy())
+        return kernel(tables, n, ends)
+
+    monkeypatch.setattr(instability, "_dp_layers", spy)
+    return inst_exact(f), fills
+
+
+def test_probe_then_whole_block_fill(monkeypatch):
+    # a table that reaches n early is answered by the probe of the first
+    # 2^(n//4) kept starts alone; one that does not is filled again from its
+    # first kept start, so the ends of all 2^(n-1) starts are whole colour
+    # blocks and need no column select, and only a first maximal start past
+    # the probe has its one column refilled
+    n = 12
+    N = 1 << n
+    table = np.random.default_rng(5).integers(0, 2, N).astype(np.uint8)
+    f = make(ColouringSpec(kind="table", n=n, table=table.tobytes()))
+    rep, fills = _fills(monkeypatch, f)
+    assert rep.value == n and rep.witness.start.code < 1 << (n // 4)
+    assert [len(ends) for ends in fills] == [1 << (n // 4)]
+
+    table = maj(n, 2, 5).table().copy()
+    table[np.random.default_rng(7).choice(free_point_codes(n, 2), 8, replace=False)] ^= 1
+    f = make(ColouringSpec(kind="table", n=n, table=table.tobytes()))
+    rep, fills = _fills(monkeypatch, f)
+    assert rep.value < n
+    assert [len(ends) for ends in fills[:2]] == [1 << (n // 4), N // 2]
+    assert (fills[1] == np.arange(N // 2, N)).all()
+    refilled = rep.witness.start.code >= 1 << (n // 4)
+    assert [len(ends) for ends in fills[2:]] == ([1] if refilled else [])
 
 
 def test_symmetric_colourings_match_bruteforce_oracle():
