@@ -26,19 +26,20 @@ A single colouring fills fewer columns still.  A swap of two coordinates
 that fixes f maps geodesics to geodesics with the same jumps, start
 weight and start and end colours, so the engines keep one start per orbit
 of the swaps, the least.  At most 2^(n//2) kept starts are filled at once;
-past that, since no geodesic makes more than n jumps, a probe of the first
-2^(n//4) kept starts that reaches n ends the fill, and one that does not
-is followed by a fill of every kept start from the first, so the ends stay
-whole colour blocks.  Each fill builds the colour blocks of the low halves
-its ends use only, which keeps a narrow fill cheap.  The probe keeps its
-columns whole, 2^n * 2^(n//4) bytes (64 KB at n = 13), so the witness of a
-first maximal start among them comes from the fill that found its value; a
-start past the probe has its one column refilled.  Besides the probe's
-columns, the layers take at most 2 * C(n, n//2) * 2^(n-1) bytes for inst
-(14 MB at n = 13, 56 MB at n = 14) and 2 * C(n, n//2) * C(n, t+1) for
-winst: bounds that an input with no swap symmetry and value below n
-meets, while the majority and partition colourings keep a few hundred
-starts at most.  The batch kernels score every start of every row.
+past that, since no geodesic makes more than n jumps, they are filled in
+three steps that each end the fill once a start reaches n: the first
+2^(n//4) kept starts, the rest of the first 2^(n//2), then the rest.  The
+last step's ends are whole colour blocks when every end is.  Each fill
+builds the colour blocks of the low halves its ends use only, which keeps
+a narrow fill cheap.  The first step keeps its columns whole, 2^n *
+2^(n//4) bytes (64 KB at n = 13), so the witness of a first maximal start
+among them comes from the fill that found its value; a start past them has
+its one column refilled.  Besides those columns, the layers take at most
+2 * C(n, n//2) * 2^(n-1) bytes for inst (14 MB at n = 13, 56 MB at
+n = 14) and 2 * C(n, n//2) * C(n, t+1) for winst: bounds that an input
+with no swap symmetry and value below n meets, while the majority and
+partition colourings keep a few hundred starts at most.  The batch
+kernels score every start of every row.
 
 A literal brute-force enumerator over all starts and flip permutations is
 kept as an independent oracle for cross-checking at tiny dimensions.
@@ -96,10 +97,11 @@ def dimension_cap(explicit: Optional[int] = None) -> int:
     radius t, times the number of colourings scored together.  A single
     colouring reaches these bounds only without swap symmetry and with a
     value below n: its layers hold one start per orbit of the coordinate
-    swaps that fix it, and stop at a probe of 2^(n//4) starts that reaches
-    n.  The probe's columns, kept whole for the witness, add 2^n * 2^(n//4)
-    bytes (64 KB at n = 13, 256 KB at n = 15), or 2^n bytes per kept start
-    when at most 2^(n//2) are kept and all are filled at once.
+    swaps that fix it, and stop after a probe of 2^(n//4) starts, or of
+    2^(n//2), that reaches n.  The first probe's columns, kept whole for the
+    witness, add 2^n * 2^(n//4) bytes (64 KB at n = 13, 256 KB at n = 15),
+    or 2^n bytes per kept start when at most 2^(n//2) are kept and all are
+    filled at once.
     """
     if explicit is not None:
         return explicit
@@ -310,15 +312,22 @@ def _best_start(
     witness, or a None report when ``starts`` is empty.
 
     Only the starts least in their orbit under the swaps that fix f are
-    filled.  At most 2^(n//2) of them are filled at once.  More are probed
-    first, 2^(n//4) of them, and if none reaches n every kept start is
-    filled from the first, so the ends stay whole colour blocks; a column
-    is its own DP, so this gives the values of one fill.  The witness
-    column is the probe's when the first maximal start is in it, else a
-    refill of that one start.  This is exact when the first maximal start
-    is one of the kept starts: ``starts`` closed under the swaps, or inst's
-    starts below 2^(n-1), which by reversal hold the first maximal start of
-    the whole cube."""
+    filled.  At most 2^(n//2) of them are filled at once.  More are filled
+    in three steps, stopping at the first that reaches n: the first 2^(n//4)
+    kept starts, the next ones up to 2^(n//2), then the rest.  The second
+    step is there for tables whose first start of value n falls just past
+    the first probe: of the 20 random n = 13 tables of the engine_n13
+    benchmark at seeds 4401-4410, in both modes, 39 of 40 first reach n at
+    a kept index below 8 and one at kept index 8, whose call took a fill of
+    all 545 kept starts without it, 15-20 ms instead of 2.4 ms on a 2-core
+    machine.  The last step starts at a multiple of 2^(n//2), so its ends
+    are whole colour blocks whenever all the ends are.  A column is its own
+    DP, so the steps give the values of one fill.  The witness column is the
+    first probe's when the first maximal start is in it, else a refill of
+    that one start.  This is exact when the first maximal start is one of
+    the kept starts: ``starts`` closed under the swaps, or inst's starts
+    below 2^(n-1), which by reversal hold the first maximal start of the
+    whole cube."""
     n = f.n
     table = f.table()
     starts = _orbit_least(starts, _swap_blocks(table, n))
@@ -327,11 +336,13 @@ def _best_start(
     probe = starts.size if starts.size <= 1 << (n // 2) else 1 << (n // 4)
     columns = _start_columns(table, n, starts[:probe])
     top = columns[-1] >> 1
-    if top.max() < n and starts.size > probe:
-        top = _start_values(table[None], n, starts)[0]
+    for a, b in ((probe, 1 << (n // 2)), (1 << (n // 2), starts.size)):
+        if top.max() == n or a >= starts.size:
+            break
+        top = np.concatenate((top, _start_values(table[None], n, starts[a:b])[0]))
     i = int(np.argmax(top))
     start = int(starts[i])
-    # the witness column is the probe's, or a refill of the one start past it
+    # the witness column is the first probe's, or a refill of the one start past it
     column = columns[:, i] if i < probe else _start_columns(table, n, starts[i:i + 1])[:, 0]
     order = _reconstruct(column, table, n, start)
     return InstabilityReport(

@@ -397,17 +397,21 @@ def _traced_peak(engine, f=None):
 
 
 @pytest.mark.parametrize(
-    "engine, bound",
-    [(inst_exact, 4**12 / 64), (winst_exact, 4**12 / 64)],
-    ids=["inst", "winst"],
+    "engine, t, bound",
+    [(inst_exact, 2, 4**12 / 64), (winst_exact, 2, 4**12 / 64), (inst_exact, 3, 4**12 / 24)],
+    ids=["inst", "winst", "inst-second-probe"],
 )
-def test_engine_memory_is_the_columns_it_reads(engine, bound):
+def test_engine_memory_is_the_columns_it_reads(engine, t, bound):
     # inst fills at most the 2^n/2 columns of its starts and winst at most
     # C(12, 3) = 220 of 4096, each in two layers of at most C(12, 6) = 924
-    # rows; this colouring reaches n in the probe of the first 2^(12//4)
-    # kept starts, whose columns are kept whole, 2^12 * 2^3 = 4^12/512
-    # bytes, and the peak is near 4^12/128
-    assert _traced_peak(engine) < bound
+    # rows.  The radius-2 colouring reaches n in the probe of the first
+    # 2^(12//4) kept starts, whose columns are kept whole, 2^12 * 2^3 =
+    # 4^12/512 bytes, and the peak is near 4^12/128.  The radius-3 one
+    # reaches n in the second probe, the next 2^6 - 2^3 starts, whose fill
+    # builds the colour blocks of their 56 low halves, and peaks near
+    # 4^12/30; a probe that kept all 2^6 columns whole peaked near 4^12/20
+    f = random_colouring(12, t, seed=3, exact_tf=True)
+    assert _traced_peak(engine, f) < bound
 
 
 def test_inst_memory_is_two_layers():
@@ -652,15 +656,17 @@ def _witness_source(values, n):
     """Where ``_best_start`` takes the witness column of the first maximal
     start among kept starts of these values: the one fill of at most
     2^(n//2) starts, the probe of the first 2^(n//4) that reaches n and
-    stops, the probe's columns after the fill of every start, or a refill
-    of the one column past the probe."""
+    stops, a refill after the second probe, up to 2^(n//2), reaches n, the
+    probe's columns after the fill of every start, or a refill of the one
+    column past the probe."""
     i = int(np.argmax(values))
     if len(values) <= 1 << (n // 2):
         return "one fill"
-    probe = 1 << (n // 4)
-    if values[:probe].max() == n:
+    if values[:1 << (n // 4)].max() == n:
         return "probe stop"
-    return "probe column" if i < probe else "refill"
+    if values[:1 << (n // 2)].max() == n:
+        return "second stop"
+    return "probe column" if i < 1 << (n // 4) else "refill"
 
 
 def test_witness_from_probe_or_refill_matches_fresh_refill():
@@ -692,6 +698,7 @@ def test_witness_from_probe_or_refill_matches_fresh_refill():
                     seen[rep.mode].add(_witness_source(values, n))
     for mode in seen:
         assert {"one fill", "probe stop", "refill"} <= seen[mode], (mode, seen[mode])
+    assert "second stop" in seen["inst"], seen["inst"]
 
 
 def _fills(monkeypatch, f):
@@ -709,29 +716,37 @@ def _fills(monkeypatch, f):
     return inst_exact(f), fills
 
 
-def test_probe_then_whole_block_fill(monkeypatch):
-    # a table that reaches n early is answered by the probe of the first
-    # 2^(n//4) kept starts alone; one that does not is filled again from its
-    # first kept start, so the ends of all 2^(n-1) starts are whole colour
-    # blocks and need no column select, and only a first maximal start past
-    # the probe has its one column refilled
+def test_probe_steps_and_whole_block_fill(monkeypatch):
+    # past 2^(n//2) kept starts the fill stops at the first of three steps
+    # that reaches n: the first 2^(n//4) kept starts, the rest of the first
+    # 2^(n//2), then the rest, whose ends are whole colour blocks and need
+    # no column select; a first maximal start past the first probe has its
+    # one column refilled
     n = 12
     N = 1 << n
+    L = 1 << (n // 2)
     table = np.random.default_rng(5).integers(0, 2, N).astype(np.uint8)
     f = make(ColouringSpec(kind="table", n=n, table=table.tobytes()))
     rep, fills = _fills(monkeypatch, f)
     assert rep.value == n and rep.witness.start.code < 1 << (n // 4)
     assert [len(ends) for ends in fills] == [1 << (n // 4)]
 
+    # a radius-3 colouring first reaches n at a start of weight 3 or more,
+    # past the first 2^(12//4) = 8 starts and within the first 2^6
+    f = random_colouring(n, 3, seed=3, exact_tf=True)
+    rep, fills = _fills(monkeypatch, f)
+    assert rep.value == n and 1 << (n // 4) <= rep.witness.start.code < L
+    assert [len(ends) for ends in fills] == [1 << (n // 4), L - (1 << (n // 4)), 1]
+
     table = maj(n, 2, 5).table().copy()
     table[np.random.default_rng(7).choice(free_point_codes(n, 2), 8, replace=False)] ^= 1
     f = make(ColouringSpec(kind="table", n=n, table=table.tobytes()))
     rep, fills = _fills(monkeypatch, f)
     assert rep.value < n
-    assert [len(ends) for ends in fills[:2]] == [1 << (n // 4), N // 2]
-    assert (fills[1] == np.arange(N // 2, N)).all()
+    assert [len(ends) for ends in fills[:3]] == [1 << (n // 4), L - (1 << (n // 4)), N // 2 - L]
+    assert (fills[2] == np.arange(N // 2, N - L)).all()
     refilled = rep.witness.start.code >= 1 << (n // 4)
-    assert [len(ends) for ends in fills[2:]] == ([1] if refilled else [])
+    assert [len(ends) for ends in fills[3:]] == ([1] if refilled else [])
 
 
 def test_symmetric_colourings_match_bruteforce_oracle():
