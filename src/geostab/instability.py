@@ -315,12 +315,14 @@ def _best_start(
     filled.  At most 2^(n//2) of them are filled at once.  More are filled
     in three steps, stopping at the first that reaches n: the first 2^(n//4)
     kept starts, the next ones up to 2^(n//2), then the rest.  The second
-    step is there for tables whose first start of value n falls just past
-    the first probe: of the 20 random n = 13 tables of the engine_n13
+    step is there for tables whose first start of value n falls past the
+    first probe.  Of the 20 random n = 13 tables of the engine_n13
     benchmark at seeds 4401-4410, in both modes, 39 of 40 first reach n at
-    a kept index below 8 and one at kept index 8, whose call took a fill of
-    all 545 kept starts without it, 15-20 ms instead of 2.4 ms on a 2-core
-    machine.  The last step starts at a multiple of 2^(n//2), so its ends
+    a kept index below 8 and one at kept index 8.  Inst on a radius-t
+    colouring cannot reach n from a start of weight below t, and on random
+    radius-4 and radius-5 colourings at n = 13 first reaches n at kept
+    index 15-63.  Without the second step such a call fills every kept
+    start, 15-28 ms instead of 2-2.4 ms on a 2-core machine.  The last step starts at a multiple of 2^(n//2), so its ends
     are whole colour blocks whenever all the ends are.  A column is its own
     DP, so the steps give the values of one fill.  The witness column is the
     first probe's when the first maximal start is in it, else a refill of
