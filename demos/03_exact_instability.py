@@ -25,7 +25,7 @@ f = make(ColouringSpec(kind="majority", n=6, t=2, k=3))
 rep = inst_exact(f)
 print(f"inst(maj_2(3) on H_6) = {rep.value}")
 print("witness:", geodesic_to_text(rep.witness))
-print("recounted jumps:", jumps_of_path(f, expand(rep.witness)).jump_count)
+print("recounted jumps:", jumps_of_path(f, expand(rep.witness)))
 
 wrep = winst_exact(f)
 print(f"\nwinst = {wrep.value} (over well-ending {wrep.t_used + 1}-geodesics)")

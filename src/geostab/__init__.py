@@ -12,7 +12,6 @@ from .hypercube import (
     Point,
     complement,
     expand,
-    geodesic_from_text,
     geodesic_to_text,
     in_ball,
     is_geodesic,
@@ -33,7 +32,6 @@ from .colourings import (
 )
 from .instability import (
     InstabilityReport,
-    PathReport,
     dimension_cap,
     inst_bruteforce,
     inst_exact,

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ValidationError
-
-
-def _check_valid(n: int, t: int) -> None:
-    if t < 0:
-        raise ValidationError(f"need t >= 0, got t={t}")
-    if n < 2 * t + 1:
-        raise ValidationError(f"t={t} is not valid for n={n}: need n >= 2t+1 = {2 * t + 1}")
+from .hypercube import check_radius
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -62,14 +56,14 @@ WINST_BASE_CASES: tuple[tuple[int, int, int], ...] = (
 
 def zigzag_winst_formula(n: int, t: int) -> int:
     """floor(t/(n-2t)) + ceil(t/(n-2t)) + 1."""
-    _check_valid(n, t)
+    check_radius(n, t)
     gap = n - 2 * t
     return t // gap + _ceil_div(t, gap) + 1
 
 
 def zigzag_inst_formula(n: int, t: int) -> int:
     """floor((t-1)/(n-2t)) + ceil((t-1)/(n-2t)) + 3, stated for t >= 1."""
-    _check_valid(n, t)
+    check_radius(n, t)
     if t < 1:
         raise ValidationError("the inst zig-zag bound needs t >= 1")
     gap = n - 2 * t
@@ -85,7 +79,7 @@ def stronger_lb(t: int, t0: int, y0: int) -> int:
 
 def morestrips_lb(n: int, t: int, t0: int, y0: int) -> int:
     """Multi-strip chain: winst(n, t) >= y0 + 2(t-t0)/(n-2t), needs (n-2t) | (t-t0)."""
-    _check_valid(n, t)
+    check_radius(n, t)
     if t0 < 0 or t < t0:
         raise ValidationError(f"need t >= t0 >= 0, got t={t}, t0={t0}")
     gap = n - 2 * t
@@ -98,7 +92,7 @@ def morestrips_lb(n: int, t: int, t0: int, y0: int) -> int:
 
 def known_exact_value(n: int, t: int) -> Optional[int]:
     """inst(n,0)=1, inst(n,1)=3, inst(2t+1,t)=2t+1; None elsewhere."""
-    _check_valid(n, t)
+    check_radius(n, t)
     if t == 0:
         return 1
     if t == 1:
@@ -128,7 +122,7 @@ def _winst_candidates(n: int, t: int) -> list[BoundValue]:
 
 def best_lower_bound(n: int, t: int, mode: str) -> BoundValue:
     """Best applicable lower bound for inst(n,t) or winst(n,t), with provenance."""
-    _check_valid(n, t)
+    check_radius(n, t)
     if mode == "winst":
         candidates = _winst_candidates(n, t)
     elif mode == "inst":
@@ -151,7 +145,7 @@ def best_lower_bound(n: int, t: int, mode: str) -> BoundValue:
 
 def formula_bounds(n: int, t: int) -> BoundTable:
     """Every applicable closed-form bound at (n, t), plus the combined bests."""
-    _check_valid(n, t)
+    check_radius(n, t)
     zig_a = zigzag_winst_formula(n, t)
     zig_b = zigzag_inst_formula(n, t) if t >= 1 else None
     one_strip = t + 3 if (n == 2 * t + 2 and t >= 2) else None

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, UndefinedRadiusError, ValidationError
-from .hypercube import MAX_POINT_DIMENSION, Point, weights_vector
+from .hypercube import MAX_POINT_DIMENSION, Point, check_radius, weights_vector
 
 KINDS = ("majority", "partition", "aqj", "table", "constant")
 TIE_RULES = ("first-entry", "zero", "one")
@@ -154,14 +154,13 @@ def make(spec: ColouringSpec) -> Colouring:
 def _make_majority(spec: ColouringSpec) -> Colouring:
     n, t, k = spec.n, spec.t, spec.k
     _require(t is not None and k is not None, "majority needs t and k")
-    _require(t >= 0, f"need t >= 0, got t={t}")
-    _require(n >= 2 * t + 1, f"t must be valid for n: need n >= 2t+1 = {2 * t + 1}, got n={n}")
+    check_radius(n, t)
     _require(0 < k <= n, f"need 0 < k <= n, got k={k}, n={n}")
     tie = spec.tie
     if k % 2 == 1:
         _require(tie is None, "tie rule applies to even k only")
     else:
-        tie = tie or "first-entry"
+        tie = "first-entry" if tie is None else tie
         _require(tie in TIE_RULES, f"tie must be one of {TIE_RULES}, got {tie!r}")
 
     codes = np.arange(1 << n, dtype=np.uint32)
@@ -257,11 +256,7 @@ def _make_constant(spec: ColouringSpec) -> Colouring:
 
 def respects_balls(f: Colouring, t: int) -> bool:
     """Whether f is canonically 0/1 on the radius-t balls. t must be valid for n."""
-    _require(t >= 0, f"need t >= 0, got t={t}")
-    _require(
-        f.n >= 2 * t + 1,
-        f"t must be valid for n: need n >= 2t+1 = {2 * t + 1}, got n={f.n}",
-    )
+    check_radius(f.n, t)
     return f.t_f >= t
 
 
@@ -364,7 +359,7 @@ def table_from_free_layers(n: int, t: int, free_bits: Sequence[int] | np.ndarray
 
     ``free_bits`` follows ascending code order over the free points.
     """
-    _require(t >= 0 and n >= 2 * t + 1, f"t={t} not valid for n={n}")
+    check_radius(n, t)
     free = free_point_codes(n, t)
     bits = np.asarray(free_bits, dtype=np.uint8)
     _require(
@@ -455,6 +450,9 @@ def spec_from_json_dict(data: dict) -> ColouringSpec:
         if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
             raise ValidationError("spec field 'partition' must be a list of integer lists")
         partition = tuple(tuple(_int_field(i, "partition") for i in block) for block in blocks)
+    tie = data.get("tie")
+    if tie is not None and not isinstance(tie, str):
+        raise ValidationError(f"spec field 'tie' must be a string, got {tie!r}")
     table = None
     if data.get("table") is not None:
         if not isinstance(data["table"], str):
@@ -465,7 +463,7 @@ def spec_from_json_dict(data: dict) -> ColouringSpec:
         n=n,
         t=_optional_int(data, "t"),
         k=_optional_int(data, "k"),
-        tie=data.get("tie"),
+        tie=tie,
         partition=partition,
         j=_optional_int(data, "j"),
         s=_optional_int(data, "s"),

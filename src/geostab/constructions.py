@@ -482,4 +482,4 @@ def kdefined_witness(
 
 def construction_jumps(f: Colouring, result: ConstructionResult) -> int:
     """Actual jump count of a construction against a colouring."""
-    return jumps_of_path(f, expand(result.geodesic)).jump_count
+    return jumps_of_path(f, expand(result.geodesic))

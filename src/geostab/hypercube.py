@@ -94,6 +94,14 @@ def weight(x: Point) -> int:
     return x.code.bit_count()
 
 
+def check_radius(n: int, t: int) -> None:
+    """Refuse a radius t that is not valid for dimension n: t >= 0, and the
+    radius-t balls around 0^n and 1^n are disjoint, which holds exactly
+    when 2t+1 <= n."""
+    if t < 0 or n < 2 * t + 1:
+        raise ValidationError(f"t={t} is not valid for n={n}: need 0 <= t and 2t+1 <= n")
+
+
 def in_ball(x: Point, t: int, center: int) -> bool:
     """Whether x lies in the radius-t ball around the all-``center`` point.
 
@@ -179,13 +187,3 @@ def weights_vector(n: int) -> np.ndarray:
 def geodesic_to_text(g: Geodesic) -> str:
     """Report text form, e.g. ``00011 | 5,4,2,1,3``."""
     return f"{g.start.bit_string()} | {','.join(str(c) for c in g.flip_order)}"
-
-
-def geodesic_from_text(text: str) -> Geodesic:
-    try:
-        bits, order = text.split("|")
-        start = Point.from_bit_string(bits)
-        flips = tuple(int(tok) for tok in order.strip().split(","))
-    except (ValueError, ValidationError) as exc:
-        raise ValidationError(f"malformed geodesic text {text!r}: {exc}") from exc
-    return Geodesic(start, flips)

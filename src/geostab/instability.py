@@ -65,14 +65,6 @@ _BLOCK_BYTES = 1 << 18  # per block of rows: the rows, one predecessor and colou
 
 
 @dataclass(frozen=True)
-class PathReport:
-    """Jump count and the 1-based step indices where the colour changes."""
-
-    jump_count: int
-    jump_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class InstabilityReport:
     """Result of an exact engine run.
 
@@ -123,17 +115,12 @@ def _check_cap(n: int, cap: Optional[int]) -> None:
         )
 
 
-def jumps_of_path(f: Colouring, seq: Sequence[Point]) -> PathReport:
+def jumps_of_path(f: Colouring, seq: Sequence[Point]) -> int:
     """Exact jump count of an arbitrary point sequence (not only geodesics)."""
     if any(p.n != f.n for p in seq):
         raise ValidationError("path points must match the colouring dimension")
     table = f.table()
-    jumps = [
-        i
-        for i in range(1, len(seq))
-        if table[seq[i].code] != table[seq[i - 1].code]
-    ]
-    return PathReport(jump_count=len(jumps), jump_indices=tuple(jumps))
+    return sum(1 for a, b in zip(seq, seq[1:]) if table[a.code] != table[b.code])
 
 
 @lru_cache(maxsize=None)
@@ -321,12 +308,11 @@ def _best_start(
     a kept index below 8 and one at kept index 8.  Inst on a radius-t
     colouring cannot reach n from a start of weight below t, and on random
     radius-4 and radius-5 colourings at n = 13 first reaches n at kept
-    index 15-63.  Without the second step such a call fills every kept
-    start, 15-28 ms instead of 2-2.4 ms on a 2-core machine.  The last step starts at a multiple of 2^(n//2), so its ends
-    are whole colour blocks whenever all the ends are.  A column is its own
-    DP, so the steps give the values of one fill.  The witness column is the
-    first probe's when the first maximal start is in it, else a refill of
-    that one start.  This is exact when the first maximal start is one of
+    index 15-63.  The last step starts at a multiple of 2^(n//2), so its
+    ends are whole colour blocks whenever all the ends are.  A column is its
+    own DP, so the steps give the values of one fill.  The witness column is
+    the first probe's when the first maximal start is in it, else a refill
+    of that one start.  This is exact when the first maximal start is one of
     the kept starts: ``starts`` closed under the swaps, or inst's starts
     below 2^(n-1), which by reversal hold the first maximal start of the
     whole cube."""

@@ -32,11 +32,12 @@ a filter that takes the radius from ``colourings.radii`` and is
 orbit-invariant.  A sweep runs in one process (the public sweeps accept
 ``threads`` only as 1).  It scores the representatives in chunks and
 checkpoints its progress and the running minimum to a JSON file after every
-chunk, so long runs can resume; the result is independent of the chunking
-because minima are merged by (value, counter).  A resumed sweep rescores
-the representatives below its checkpoint's ``next_counter`` and accepts
-the checkpoint only as the exact state the sweep writes after scoring
-them: every field equal as JSON text, with no field missing or extra.
+chunk; the result is independent of the chunking because minima are merged
+by (value, counter).  A resume saves no scoring: the resumed sweep rescores
+the representatives below its checkpoint's ``next_counter``, so resuming a
+finished sweep takes as long as a fresh one, and accepts the checkpoint
+only as the exact state the sweep writes after scoring them: every field
+equal as JSON text, with no field missing or extra.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,6 +60,7 @@ from .colourings import (
     tables_from_free_layers,
 )
 from .errors import CapacityError, ValidationError
+from .hypercube import check_radius
 from .instability import _check_cap, inst_exact, inst_values_batch, winst_exact, winst_values_batch
 
 MAX_FREE_POINTS = 22
@@ -90,13 +91,11 @@ class SearchResult:
     argmin: ColouringSpec
     colourings_scanned: int
     orbits_scanned: int
-    elapsed: float
 
 
 def _check_free_count(n: int, t: int) -> np.ndarray:
     """The sweep's free points; the dimension cap is checked before any 2^n array is built."""
-    if t < 0 or n < 2 * t + 1:
-        raise ValidationError(f"t={t} not valid for n={n}")
+    check_radius(n, t)
     _check_cap(n, None)
     free = free_point_codes(n, t)
     if len(free) > MAX_FREE_POINTS:
@@ -177,11 +176,9 @@ def _orbits(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _least(prior: Optional[tuple[int, int]], values: np.ndarray,
-           counters: np.ndarray) -> Optional[tuple[int, int]]:
-    """The (value, counter) minimum of ``prior`` and an ascending batch; ties
-    go to the least counter."""
-    if not len(counters):
-        return prior
+           counters: np.ndarray) -> tuple[int, int]:
+    """The (value, counter) minimum of ``prior`` and a non-empty ascending
+    batch; ties go to the least counter."""
     i = int(values.argmin())
     found = (int(values[i]), int(counters[i]))
     return found if prior is None else min(prior, found)
@@ -290,7 +287,6 @@ def _run_sweep(
 ) -> SearchResult:
     if threads != 1:
         raise ValidationError(f"sweeps run in one process; threads must be 1, got {threads}")
-    started = time.perf_counter()
     free = _check_free_count(n, t)
     key = {"n": n, "t": t, "mode": mode, "F": len(free)}
     reps, sizes = _orbits(n, free)
@@ -309,7 +305,6 @@ def _run_sweep(
     covered, total = int(sizes[:done].sum()), 1 << len(free)
     if covered != total:
         raise AssertionError(f"the scored orbits cover {covered} colourings, expected 2^F = {total}")
-    elapsed = time.perf_counter() - started
     if best is None:
         raise AssertionError(f"{mode} sweep found no colouring it minimises over")
     value, counter = best
@@ -319,7 +314,7 @@ def _run_sweep(
     _check_argmin(argmin, value, mode)
     return SearchResult(
         n=n, t=t, mode=mode, minimum=value, argmin=argmin.spec,
-        colourings_scanned=covered, orbits_scanned=done, elapsed=elapsed,
+        colourings_scanned=covered, orbits_scanned=done,
     )
 
 
@@ -350,8 +345,7 @@ def random_colouring(n: int, t: int, seed: int, exact_tf: bool = False) -> Colou
     (the widened-radius event needs a whole layer monochromatic, so retries
     are rare; a generous retry cap guards the degenerate configurations).
     """
-    if t < 0 or n < 2 * t + 1:
-        raise ValidationError(f"t={t} not valid for n={n}")
+    check_radius(n, t)
     rng = np.random.default_rng(seed)
     free = free_point_codes(n, t)
     for _ in range(_RETRY_CAP):

@@ -7,11 +7,27 @@ import re
 
 import pytest
 
-from geostab.cli import build_parser, load_spec, main, save_spec
-from geostab.colourings import ColouringSpec, balanced_partition, make
+from geostab.bounds import (
+    best_lower_bound,
+    formula_bounds,
+    known_exact_value,
+    morestrips_lb,
+    zigzag_inst_formula,
+    zigzag_winst_formula,
+)
+from geostab.cli import build_parser, load_spec, main
+from geostab.colourings import (
+    ColouringSpec,
+    balanced_partition,
+    make,
+    respects_balls,
+    spec_to_json_dict,
+    table_from_free_layers,
+)
 from geostab.errors import ValidationError
-from geostab.hypercube import expand, geodesic_from_text, is_geodesic
+from geostab.hypercube import Geodesic, Point, expand, is_geodesic
 from geostab.instability import jumps_of_path
+from geostab.search import min_inst_exhaustive, min_winst_exhaustive, random_colouring
 
 
 def run_cli(args, capsys):
@@ -115,11 +131,11 @@ def test_witness_report_revalidates_on_reload(capsys):
         capsys,
     )
     assert code == 0
-    g = geodesic_from_text(report["outputs"]["witness"])
-    pts = expand(g)
+    bits, flips = report["outputs"]["witness"].split(" | ")
+    pts = expand(Geodesic(Point.from_bit_string(bits), tuple(int(c) for c in flips.split(","))))
     assert is_geodesic(pts)
     f = make(ColouringSpec(kind="majority", n=6, t=2, k=3))
-    assert jumps_of_path(f, pts).jump_count == report["outputs"]["witness_jumps"]
+    assert jumps_of_path(f, pts) == report["outputs"]["witness_jumps"]
     assert report["outputs"]["actual_jumps"] >= report["outputs"]["guaranteed_jumps"]
 
 
@@ -186,9 +202,9 @@ def test_spec_file_round_trip(tmp_path, capsys):
         kind="partition", n=6, t=2, k=3, partition=balanced_partition(6, 2, 3)
     )
     path = tmp_path / "spec.json"
-    save_spec(spec, str(path))
+    path.write_text(json.dumps(spec_to_json_dict(spec)))
     assert load_spec(str(path)) == spec
-    save_spec(load_spec(str(path)), str(path))
+    path.write_text(json.dumps(spec_to_json_dict(load_spec(str(path)))))
     assert load_spec(str(path)) == spec
 
     code, report = run_json(["inst", "--colouring", str(path)], capsys)
@@ -227,15 +243,14 @@ def test_search_beyond_dimension_cap_exit_4(capsys):
 
 
 def test_verify_conjecture_small(capsys):
-    code, report = run_json(["verify", "--suite", "conjecture", "--max-n", "4"], capsys)
+    # exactly the pairs under the free-point gate: (5,0), (6,0) and (6,1)
+    # have more than 22 free points and are skipped
+    code, report = run_json(["verify", "--suite", "conjecture", "--max-n", "6"], capsys)
     assert code == 0
-    values = {
-        (v["claim"]): v["value"] for v in report["verdicts"]
-    }
-    assert values["inst(3,0) = 1"] == 1
-    assert values["inst(3,1) = 3"] == 3
-    assert values["inst(4,0) = 1"] == 1
-    assert values["inst(4,1) = 3"] == 3
+    pairs = [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1), (5, 1), (5, 2), (6, 2)]
+    assert [(v["claim"], v["value"]) for v in report["verdicts"]] == [
+        (f"inst({n},{t}) = {2 * t + 1}", 2 * t + 1) for n, t in pairs
+    ]
 
 
 def test_verify_oracle_and_exit3(monkeypatch, capsys):
@@ -419,6 +434,49 @@ def test_spec_file_non_integer_fields_exit_2(tmp_path, capsys, fields):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({**base, **extra}))
     _assert_refused(main(["inst", "--colouring", str(spec)]), capsys)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"kind": "majority", "n": 5, "t": 1, "k": 2, "tie": 0},
+        {"kind": "majority", "n": 5, "t": 1, "k": 2, "tie": ""},
+        {"kind": "majority", "n": 5, "t": 1, "k": 2, "tie": False},
+        {"kind": "table", "n": 2, "table": "6", "tie": [1, 2]},
+    ],
+)
+def test_spec_file_tie_that_is_no_rule_exit_2(tmp_path, capsys, document):
+    # a falsy tie is not the default rule, and a tie is a string for every kind
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(document))
+    _assert_refused(main(["inst", "--colouring", str(spec)]), capsys)
+
+
+@pytest.mark.parametrize("n, t", [(4, 2), (3, -1)])
+def test_one_radius_rule_and_refusal(capsys, n, t):
+    message = f"t={t} is not valid for n={n}: need 0 <= t and 2t+1 <= n"
+    entry_points = [
+        lambda: formula_bounds(n, t),
+        lambda: best_lower_bound(n, t, "inst"),
+        lambda: known_exact_value(n, t),
+        lambda: morestrips_lb(n, t, 0, 1),
+        lambda: zigzag_winst_formula(n, t),
+        lambda: zigzag_inst_formula(n, t),
+        lambda: make(ColouringSpec(kind="majority", n=n, t=t, k=1)),
+        lambda: respects_balls(make(ColouringSpec(kind="constant", n=n, j=0)), t),
+        lambda: table_from_free_layers(n, t, []),
+        lambda: min_inst_exhaustive(n, t),
+        lambda: min_winst_exhaustive(n, t),
+        lambda: random_colouring(n, t, seed=0),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == message
+    for args in (["bounds", "--n", str(n), "--t", str(t)],
+                 ["search", "--n", str(n), "--t", str(t)],
+                 ["inst", "--kind", "majority", "--n", str(n), "--t", str(t), "--k", "1"]):
+        assert _assert_refused(main(args), capsys) == f"invalid parameters: {message}\n"
 
 
 @pytest.mark.parametrize("n_arg", ["3:x", "x", "3:", ":4", "1:2:3", "3.5", "3:1", "0", "-4"])

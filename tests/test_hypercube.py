@@ -9,7 +9,6 @@ from geostab.hypercube import (
     Geodesic,
     Point,
     expand,
-    geodesic_from_text,
     geodesic_to_text,
     in_ball,
     is_geodesic,
@@ -56,7 +55,10 @@ def test_expand_rejects_non_permutation():
 def test_is_geodesic_examples():
     assert is_geodesic([P("00"), P("10"), P("11")]) is True
     assert is_geodesic([P("00"), P("10"), P("00")]) is False
-    assert is_geodesic([P("000"), P("011"), P("111")]) is False
+    assert is_geodesic([P("000"), P("011"), P("111")]) is False  # wrong length
+    assert is_geodesic([]) is False
+    assert is_geodesic([P("000"), P("011"), P("010"), P("110")]) is False  # a step of distance 2
+    assert is_geodesic([P("000"), P("100"), P("000"), P("100")]) is False  # entry 1 flips twice
     with pytest.raises(ValidationError):
         is_geodesic([P("00"), P("000")])
 
@@ -104,13 +106,8 @@ def test_weights_vector_is_one_read_only_array_per_n():
 
 
 def test_text_form_round_trip():
-    g = geodesic_from_text("00011 | 5,4,2,1,3")
-    assert g.start.bit_string() == "00011"
-    assert g.flip_order == (5, 4, 2, 1, 3)
+    g = Geodesic(Point.from_bit_string("00011"), (5, 4, 2, 1, 3))
     assert geodesic_to_text(g) == "00011 | 5,4,2,1,3"
-    assert geodesic_from_text(geodesic_to_text(g)) == g
-    with pytest.raises(ValidationError):
-        geodesic_from_text("0x01 | 1,2")
 
 
 def test_point_validation():
@@ -120,3 +117,5 @@ def test_point_validation():
         Point(3, 8)
     with pytest.raises(ValidationError):
         Point(25, 0)
+    with pytest.raises(ValidationError):
+        Point.from_bit_string("0x01")

@@ -1,11 +1,15 @@
 """Source checks that need no linter: every local a function binds and every
-parameter it takes is read, and every module-private name is used."""
+parameter it takes is read, every module-private name is used, and every
+public name is read by the program, its demos or its benchmark."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "geostab").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "geostab").glob("*.py"))
+# the modules outside the package that read it; the tests do not count
+OUTSIDE_READERS = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("bench/*.py"))
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -76,9 +80,9 @@ def _unread_params(tree):
                 yield func.name, p.arg, p.lineno
 
 
-def _private_definitions(tree):
+def _definitions(tree):
     """(name, line, node) of each function, class and constant a module
-    defines at its top level under a private name, one leading underscore."""
+    defines at its top level."""
     for node in tree.body:
         if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
             found = [(node.name, node.lineno)]
@@ -87,8 +91,7 @@ def _private_definitions(tree):
             found = [(name.id, name.lineno) for t in targets for name in _names(t)]
         else:
             continue
-        yield from ((name, line, node) for name, line in found
-                    if name.startswith("_") and not name.startswith("__"))
+        yield from ((name, line, node) for name, line in found)
 
 
 def _references(tree):
@@ -100,15 +103,33 @@ def _references(tree):
             yield node.attr
 
 
-def _unreferenced_private(trees):
-    """(module, name, line) of each module-private name that no module in
-    ``trees`` (module name to syntax tree) reads outside its own
+def _unreferenced(trees, readers, selected):
+    """(module, name, line) of each top-level name of a module in ``trees``
+    (module name to syntax tree) that ``selected`` accepts and that no
+    module in ``readers``, which holds ``trees``, reads outside its own
     definition."""
-    uses = Counter(name for tree in trees.values() for name in _references(tree))
+    uses = Counter(name for tree in readers.values() for name in _references(tree))
     for module, tree in trees.items():
-        for name, line, node in _private_definitions(tree):
-            if uses[name] == Counter(_references(node))[name]:
+        for name, line, node in _definitions(tree):
+            if selected(name) and uses[name] == Counter(_references(node))[name]:
                 yield module, name, line
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _unreferenced_private(trees):
+    """The module-private names, one leading underscore, that no module in
+    ``trees`` reads outside its own definition."""
+    return _unreferenced(trees, trees, _is_private)
+
+
+def _unread_public(trees, readers):
+    """The public names, no leading underscore, of the modules in ``trees``
+    that no module in ``readers`` reads outside its own definition.  An
+    import, such as a re-export in ``__init__``, reads nothing."""
+    return _unreferenced(trees, readers, lambda name: not name.startswith("_"))
 
 
 def _findings(check):
@@ -129,11 +150,23 @@ def test_every_parameter_is_read():
     assert not unread, unread
 
 
+def _parse(path):
+    return ast.parse(path.read_text(), str(path))
+
+
 def test_every_private_name_is_used():
     assert SOURCES
-    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    trees = {path.name: _parse(path) for path in SOURCES}
     unused = [f"{module}:{line} {name}" for module, name, line in _unreferenced_private(trees)]
     assert not unused, unused
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    assert SOURCES and OUTSIDE_READERS
+    trees = {path.name: _parse(path) for path in SOURCES}
+    readers = {**trees, **{str(path.relative_to(ROOT)): _parse(path) for path in OUTSIDE_READERS}}
+    unread = [f"{module}:{line} {name}" for module, name, line in _unread_public(trees, readers)]
+    assert not unread, unread
 
 
 def test_the_check_flags_a_dead_local():
@@ -187,3 +220,28 @@ def test_the_check_flags_an_unused_private_name():
     }
     assert list(_unreferenced_private(trees)) == [
         ("a.py", "_UNUSED", 3), ("a.py", "_dead", 9), ("a.py", "_Box", 11)]
+
+
+def test_the_check_flags_a_public_name_only_tests_read():
+    trees = {
+        "a.py": ast.parse(
+            "LIMIT = 3\n"
+            "UNUSED, SHOWN = 4, 5\n"
+            "__version__ = '1'\n"
+            "def used():\n"
+            "    return LIMIT\n"
+            "def recursive():\n"
+            "    return recursive()\n"
+            "class Box:\n"
+            "    pass\n"
+            "def _private():\n"
+            "    pass\n"
+        ),
+    }
+    readers = {
+        **trees,
+        "__init__.py": ast.parse("from .a import UNUSED, Box, used\n"),
+        "demo.py": ast.parse("import a\nfrom a import SHOWN\nprint(a.used(), SHOWN)\n"),
+    }
+    assert list(_unread_public(trees, readers)) == [
+        ("a.py", "UNUSED", 2), ("a.py", "recursive", 6), ("a.py", "Box", 8)]
