@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .bounds import formula_bounds, zigzag_inst_formula, zigzag_winst_formula
 from .colourings import (
+    KIND_FIELDS,
     KINDS,
     TIE_RULES,
     Colouring,
@@ -101,30 +102,22 @@ def _parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _colouring_from_args(args) -> Colouring:
+    """The colouring of a spec file, or of the inline flags its kind reads."""
     if getattr(args, "colouring", None):
         return make(load_spec(args.colouring))
     if args.kind is None:
         raise ValidationError("provide --colouring FILE or an inline --kind")
     if args.n is None:
         raise ValidationError("inline colourings need --n")
-    partition = _parse_partition(args.partition) if args.partition else None
-    if args.kind == "partition" and partition is None:
-        if args.t is None or args.k is None:
-            raise ValidationError("partition colourings need --t and --k")
-        partition = balanced_partition(args.n, args.t, args.k)
-    table = None if args.table is None else table_from_hex(args.table, args.n)
-    spec = ColouringSpec(
-        kind=args.kind,
-        n=args.n,
-        t=args.t,
-        k=args.k,
-        tie=args.tie,
-        partition=partition,
-        j=args.j,
-        s=args.s,
-        table=table,
-    )
-    return make(spec)
+    needs, may_take = KIND_FIELDS[args.kind]
+    fields = {name: getattr(args, name) for name in (*needs, *may_take)}
+    if fields.get("table") is not None:
+        fields["table"] = table_from_hex(args.table, args.n)
+    if fields.get("partition") is not None:
+        fields["partition"] = _parse_partition(args.partition)
+    if args.kind == "partition" and not fields["partition"] and None not in (args.t, args.k):
+        fields["partition"] = balanced_partition(args.n, args.t, args.k)
+    return make(ColouringSpec(kind=args.kind, n=args.n, **fields))
 
 
 def _witness_entry(f: Colouring, geodesic) -> dict:
@@ -219,8 +212,8 @@ def _cmd_witness(args) -> tuple[dict, int]:
             raise ValidationError("kdefined witness needs --k")
         result = kdefined_witness(f, args.k)
 
-    actual = construction_jumps(f, result)
     entry = _witness_entry(f, result.geodesic)
+    actual = entry["witness_jumps"]
     ok = entry["witness_valid"] and actual >= result.guaranteed_jumps
     report = {
         "inputs": {"construction": kind, "colouring": spec_to_json_dict(f.spec)},

@@ -14,7 +14,7 @@ one around the all-ones point is coloured 1 (-1 if even t=0 fails).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -23,7 +23,16 @@ import numpy as np
 from .errors import CapacityError, UndefinedRadiusError, ValidationError
 from .hypercube import MAX_POINT_DIMENSION, Point, check_radius, weights_vector
 
-KINDS = ("majority", "partition", "aqj", "table", "constant")
+# The fields each kind needs, then the further fields it may take; ``make``
+# refuses a spec that lacks a needed field or sets one its kind does not read.
+KIND_FIELDS = {
+    "majority": (("t", "k"), ("tie",)),
+    "partition": (("t", "k"), ("partition",)),
+    "aqj": (("t", "s", "j", "partition"), ()),
+    "table": (("table",), ()),
+    "constant": (("j",), ()),
+}
+KINDS = tuple(KIND_FIELDS)
 TIE_RULES = ("first-entry", "zero", "one")
 
 _DEFINED_BY_MAX_N = 16
@@ -33,14 +42,8 @@ _DEFINED_BY_MAX_N = 16
 class ColouringSpec:
     """Declarative description of a colouring; ``make`` validates and builds it.
 
-    Field usage by kind:
-
-    * ``majority``: n, t, k, tie (even k only; default "first-entry").
-    * ``partition`` (the b_t^k family): n, t, k (odd), partition of the
-      coordinates k+1..n into s+1 blocks of size >= t+1, s = t-(k+1)/2.
-    * ``aqj``: n, t, s, j, partition of 1..n into s+1 blocks of size >= t+1.
-    * ``table``: n, table of exactly 2^n colour bits (bit p = colour of code p).
-    * ``constant``: n, j = the constant colour.
+    Every spec sets ``kind`` and ``n``; ``KIND_FIELDS`` names the other
+    fields each kind reads, and the rest stay None.
     """
 
     kind: str
@@ -137,10 +140,16 @@ def _check_blocks(blocks: Sequence[Sequence[int]], count: int, t: int, lo: int, 
 
 
 def make(spec: ColouringSpec) -> Colouring:
-    """Validate a spec and build the colouring it describes."""
+    """Validate a spec against ``KIND_FIELDS`` and build the colouring it describes."""
     _require(spec.kind in KINDS, f"unknown kind {spec.kind!r}")
     n = spec.n
     _require(1 <= n <= MAX_POINT_DIMENSION, f"need 1 <= n <= {MAX_POINT_DIMENSION}, got n={n}")
+    needs, may_take = KIND_FIELDS[spec.kind]
+    missing = [name for name in needs if getattr(spec, name) is None]
+    _require(not missing, f"{spec.kind} needs {', '.join(missing)}")
+    reads = ("kind", "n", *needs, *may_take)
+    unread = [name for name, value in vars(spec).items() if value is not None and name not in reads]
+    _require(not unread, f"{spec.kind} does not read {', '.join(unread)}")
     builder = {
         "majority": _make_majority,
         "partition": _make_partition,
@@ -153,7 +162,6 @@ def make(spec: ColouringSpec) -> Colouring:
 
 def _make_majority(spec: ColouringSpec) -> Colouring:
     n, t, k = spec.n, spec.t, spec.k
-    _require(t is not None and k is not None, "majority needs t and k")
     check_radius(n, t)
     _require(0 < k <= n, f"need 0 < k <= n, got k={k}, n={n}")
     tie = spec.tie
@@ -198,20 +206,18 @@ def _aqj_table(n: int, j: int, blocks: Sequence[Sequence[int]]) -> np.ndarray:
 
 def _make_aqj(spec: ColouringSpec) -> Colouring:
     n, t, s, j = spec.n, spec.t, spec.s, spec.j
-    _require(t is not None and s is not None and j in (0, 1), "aqj needs t, s, and j in {0,1}")
+    _require(j in (0, 1), f"need j in {{0,1}}, got j={j}")
     _require(s >= 0, f"need s >= 0, got s={s}")
     _require(
         n >= (s + 1) * (t + 1),
         f"need n >= (s+1)(t+1) = {(s + 1) * (t + 1)}, got n={n}",
     )
-    blocks = spec.partition or ()
-    _check_blocks(blocks, s + 1, t, 1, n, "aqj partition")
-    return Colouring(spec, _aqj_table(n, j, blocks))
+    _check_blocks(spec.partition, s + 1, t, 1, n, "aqj partition")
+    return Colouring(spec, _aqj_table(n, j, spec.partition))
 
 
 def _make_partition(spec: ColouringSpec) -> Colouring:
     n, t, k = spec.n, spec.t, spec.k
-    _require(t is not None and k is not None, "partition colouring needs t and k")
     _require(k >= 1 and k % 2 == 1, f"need odd k >= 1, got k={k}")
     _require(k <= n, f"need k <= n, got k={k}, n={n}")
     s = t - (k + 1) // 2
@@ -236,9 +242,7 @@ def _make_partition(spec: ColouringSpec) -> Colouring:
 
 
 def _make_table(spec: ColouringSpec) -> Colouring:
-    n = spec.n
-    _require(spec.table is not None, "table colouring needs a table")
-    bits = spec.table
+    n, bits = spec.n, spec.table
     _require(
         len(bits) == (1 << n),
         f"table must hold exactly 2^{n} = {1 << n} bits, got {len(bits)}",
@@ -249,7 +253,7 @@ def _make_table(spec: ColouringSpec) -> Colouring:
 
 
 def _make_constant(spec: ColouringSpec) -> Colouring:
-    _require(spec.j in (0, 1), "constant colouring needs j in {0,1}")
+    _require(spec.j in (0, 1), f"need j in {{0,1}}, got j={spec.j}")
     table = np.full(1 << spec.n, spec.j, dtype=np.uint8)
     return Colouring(spec, table)
 
@@ -422,50 +426,47 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_field(value, name: str) -> int:
-    if not _is_int(value):
-        raise ValidationError(f"spec field {name!r} must be an integer, got {value!r}")
-    return value
+def _typed(ok: bool, data: dict, name: str, what: str):
+    """``data[name]`` if ``ok``, else a refusal naming the field and its type."""
+    if not ok:
+        raise ValidationError(f"spec field {name!r} must be {what}, got {data[name]!r}")
+    return data[name]
 
 
-def _optional_int(data: dict, name: str) -> Optional[int]:
-    value = data.get(name)
-    return None if value is None else _int_field(value, name)
+def _integer(data: dict, name: str) -> int:
+    return _typed(_is_int(data[name]), data, name, "an integer")
+
+
+def _string(data: dict, name: str) -> str:
+    return _typed(isinstance(data[name], str), data, name, "a string")
+
+
+def _blocks(data: dict, name: str) -> list:
+    value = data[name]
+    ok = isinstance(value, list) and all(
+        isinstance(block, list) and all(_is_int(i) for i in block) for block in value)
+    return _typed(ok, data, name, "a list of integer lists")
+
+
+def _hex(data: dict, name: str) -> bytes:
+    return table_from_hex(_typed(isinstance(data[name], str), data, name, "a hex string"),
+                          data["n"])
+
+
+# How each spec field is read from JSON; n comes before the table it sizes.
+_DECODERS = {"kind": _string, "n": _integer, "t": _integer, "k": _integer, "tie": _string,
+             "partition": _blocks, "j": _integer, "s": _integer, "table": _hex}
 
 
 def spec_from_json_dict(data: dict) -> ColouringSpec:
+    """Decode a spec's JSON object field by field; a null field is absent."""
     if not isinstance(data, dict):
         raise ValidationError("colouring spec must be a JSON object")
-    unknown = set(data) - {"kind", "n", "t", "k", "tie", "partition", "j", "s", "table"}
+    unknown = set(data) - set(_DECODERS)
     if unknown:
         raise ValidationError(f"unknown spec fields: {sorted(unknown)}")
-    try:
-        kind = data["kind"]
-        n = _int_field(data["n"], "n")
-    except KeyError as exc:
-        raise ValidationError(f"spec is missing required field {exc}") from exc
-    partition = None
-    if data.get("partition") is not None:
-        blocks = data["partition"]
-        if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
-            raise ValidationError("spec field 'partition' must be a list of integer lists")
-        partition = tuple(tuple(_int_field(i, "partition") for i in block) for block in blocks)
-    tie = data.get("tie")
-    if tie is not None and not isinstance(tie, str):
-        raise ValidationError(f"spec field 'tie' must be a string, got {tie!r}")
-    table = None
-    if data.get("table") is not None:
-        if not isinstance(data["table"], str):
-            raise ValidationError(f"spec field 'table' must be a hex string, got {data['table']!r}")
-        table = table_from_hex(data["table"], n)
-    return ColouringSpec(
-        kind=kind,
-        n=n,
-        t=_optional_int(data, "t"),
-        k=_optional_int(data, "k"),
-        tie=tie,
-        partition=partition,
-        j=_optional_int(data, "j"),
-        s=_optional_int(data, "s"),
-        table=table,
-    )
+    for name in ("kind", "n"):
+        if data.get(name) is None:
+            raise ValidationError(f"spec is missing required field {name!r}")
+    return ColouringSpec(**{name: decode(data, name) for name, decode in _DECODERS.items()
+                            if data.get(name) is not None})

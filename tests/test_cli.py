@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from geostab.colourings import (
     balanced_partition,
     make,
     respects_balls,
+    spec_from_json_dict,
     spec_to_json_dict,
     table_from_free_layers,
 )
@@ -85,9 +87,10 @@ _MAJ_7_2_4 = {"kind": "majority", "n": 7, "t": 2, "k": 4, "tie": "one"}
         (["--construction", "kdefined", "--kind", "majority", "--n", "7", "--t", "2", "--k", "1"],
          None),
         # k = n-2t-1 with 0^k coloured 1 and 1^k coloured 0: the escape path
-        # promises 2t+1 = 3 jumps, the most any well-ending geodesic makes
+        # promises 2t+1 = 3 jumps, the most any well-ending geodesic makes;
+        # --k reaches the construction and stays out of the table colouring
         (["--construction", "kdefined", "--k", "1", "--kind", "table", "--n", "4",
-          "--table", "fcc0"], None),
+          "--table", "fcc0"], {"kind": "table", "n": 4, "table": "fcc0"}),
     ],
 )
 def test_witness_constructions(tmp_path, capsys, args, colouring):
@@ -450,6 +453,74 @@ def test_spec_file_tie_that_is_no_rule_exit_2(tmp_path, capsys, document):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(document))
     _assert_refused(main(["inst", "--colouring", str(spec)]), capsys)
+
+
+# one spec per kind that sets every field the kind reads
+_CLEAN_SPECS = {
+    "majority": {"kind": "majority", "n": 5, "t": 1, "k": 2, "tie": "one"},
+    "partition": {"kind": "partition", "n": 6, "t": 2, "k": 3, "partition": [[4, 5, 6]]},
+    "aqj": {"kind": "aqj", "n": 4, "t": 1, "s": 1, "j": 0, "partition": [[1, 2], [3, 4]]},
+    "table": {"kind": "table", "n": 2, "table": "6"},
+    "constant": {"kind": "constant", "n": 3, "j": 1},
+}
+_OPTIONAL = ("t", "k", "tie", "partition", "j", "s", "table")
+_MAY_BE_LEFT_OUT = {("majority", "tie"), ("partition", "partition")}
+
+
+def _with(spec, name):
+    """``spec`` plus a well-typed ``name``; a table is all zeros of its width."""
+    values = {"t": 1, "k": 1, "tie": "one", "partition": [[1, 2]], "j": 0, "s": 0,
+              "table": "0" * max(1, (1 << spec["n"]) // 4)}
+    return {**spec, name: values[name]}
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [pytest.param(_with(spec, name), f"{kind} does not read {name}", id=f"{kind}-{name}")
+     for kind, spec in _CLEAN_SPECS.items() for name in _OPTIONAL if name not in spec]
+    # table-tie is {"kind": "table", "n": 2, "table": "6", "tie": "one"}, which
+    # once ran and echoed its tie; the next is README's old table example
+    + [pytest.param({"kind": "table", "n": 4, "t": 1, "table": "fee8"}, "table does not read t",
+                    id="readme-table")],
+)
+def test_spec_field_its_kind_does_not_read_exit_2(tmp_path, capsys, document, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(document))
+    refusal = _assert_refused(main(["inst", "--colouring", str(path)]), capsys)
+    assert refusal == f"invalid parameters: {message}\n"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        make(spec_from_json_dict(document))
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [(kind, name) for kind, spec in _CLEAN_SPECS.items() for name in spec
+     if name not in ("kind", "n") and (kind, name) not in _MAY_BE_LEFT_OUT],
+)
+def test_spec_without_a_field_its_kind_needs_exit_2(tmp_path, capsys, kind, name):
+    document = {key: value for key, value in _CLEAN_SPECS[kind].items() if key != name}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(document))
+    refusal = _assert_refused(main(["inst", "--colouring", str(path)]), capsys)
+    assert refusal == f"invalid parameters: {kind} needs {name}\n"
+
+
+def test_inline_flags_a_kind_does_not_read_are_left_out(capsys):
+    code, report = run_json(["inst", "--kind", "table", "--n", "2", "--table", "6", "--t", "1"],
+                            capsys)
+    assert code == 0
+    assert report["inputs"]["colouring"] == {"kind": "table", "n": 2, "table": "6"}
+
+
+def test_readme_spec_examples_run(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("Colouring spec files", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    assert block.strip()
+    path = tmp_path / "spec.json"
+    for line in block.splitlines():
+        path.write_text(line)
+        assert main(["inst", "--colouring", str(path), "--out", str(tmp_path / "r.json")]) == 0, line
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("n, t", [(4, 2), (3, -1)])

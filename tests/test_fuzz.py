@@ -32,11 +32,15 @@ _USES = {
 }
 
 
+_CORRUPTIONS = ("none", "none", "junk", "nudge", "drop", "extra", "other")
+
+
 @st.composite
-def _spec(draw):
+def _spec(draw, corruptions=_CORRUPTIONS):
     """A spec that is often well formed: n <= 6 and, for its kind, the fields
     it uses in their ranges; then at most one corruption (a junk or nudged
-    value, a dropped field, an unknown field or a field of another kind)."""
+    value, a dropped field, an unknown field or a field the kind does not
+    read)."""
     kind = draw(st.sampled_from(KINDS))
     n = draw(st.integers(1, 6))
     t = draw(st.integers(0, (n - 1) // 2))
@@ -52,7 +56,7 @@ def _spec(draw):
         "table": format(draw(st.integers(0, (1 << (1 << n)) - 1)), f"0{max(1, (1 << n) // 4)}x"),
     }
     spec = {"kind": kind, "n": n, **{name: values[name] for name in _USES[kind]}}
-    corruption = draw(st.sampled_from(["none", "none", "junk", "nudge", "drop", "extra", "other"]))
+    corruption = draw(st.sampled_from(corruptions))
     name = draw(st.sampled_from(sorted(spec)))
     if corruption == "junk":
         spec[name] = draw(_JUNK)
@@ -63,7 +67,7 @@ def _spec(draw):
     elif corruption == "extra":
         spec[draw(st.text(max_size=5))] = draw(_JUNK)
     elif corruption == "other":
-        other = draw(st.sampled_from(sorted(values)))
+        other = draw(st.sampled_from(sorted(set(values) - set(_USES[kind]))))
         spec[other] = values[other]
     return spec
 
@@ -72,6 +76,7 @@ _DOCUMENT = st.one_of(
     _spec().map(json.dumps),
     _spec().map(json.dumps),
     _spec().map(json.dumps),
+    _spec(("other",)).map(json.dumps),
     _spec().map(lambda spec: json.dumps(spec)[:-1]),  # truncated
     st.one_of(_JUNK, st.lists(_spec(), max_size=1)).map(json.dumps),  # not an object
     st.integers(0, 10**5).map(lambda depth: "[" * depth + "]" * depth),  # nested
@@ -91,6 +96,10 @@ def test_spec_file_outcome_is_an_exit_code(document, command):
     assert code in (0, 2, 3, 4)
     if code == 0:
         assert err.getvalue() == ""
+        # a null field counts as absent; every other field is one its kind reads
+        spec = json.loads(document)
+        given = {name for name, value in spec.items() if value is not None}
+        assert given <= {"kind", "n", *_USES[spec["kind"]]}, spec
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
 
