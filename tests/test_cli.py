@@ -87,10 +87,9 @@ _MAJ_7_2_4 = {"kind": "majority", "n": 7, "t": 2, "k": 4, "tie": "one"}
         (["--construction", "kdefined", "--kind", "majority", "--n", "7", "--t", "2", "--k", "1"],
          None),
         # k = n-2t-1 with 0^k coloured 1 and 1^k coloured 0: the escape path
-        # promises 2t+1 = 3 jumps, the most any well-ending geodesic makes;
-        # --k reaches the construction and stays out of the table colouring
+        # promises 2t+1 = 3 jumps, the most any well-ending geodesic makes
         (["--construction", "kdefined", "--k", "1", "--kind", "table", "--n", "4",
-          "--table", "fcc0"], {"kind": "table", "n": 4, "table": "fcc0"}),
+          "--table", "fcc0"], None),
     ],
 )
 def test_witness_constructions(tmp_path, capsys, args, colouring):
@@ -103,6 +102,20 @@ def test_witness_constructions(tmp_path, capsys, args, colouring):
     assert report["outputs"]["actual_jumps"] >= report["outputs"]["guaranteed_jumps"]
     if colouring is not None:
         assert report["inputs"]["colouring"] == colouring
+
+
+def test_kdefined_k_stays_out_of_a_table_colouring(capsys):
+    # --k reaches the construction, which promises 2t+1 = 3 jumps here, and
+    # stays out of the table colouring, which never reads it
+    code, report = run_json(
+        ["witness", "--construction", "kdefined", "--k", "1", "--kind", "table", "--n", "4",
+         "--table", "fcc0"],
+        capsys,
+    )
+    assert code == 0
+    assert report["outputs"]["witness_valid"] is True
+    assert report["outputs"]["guaranteed_jumps"] == 3
+    assert report["inputs"]["colouring"] == {"kind": "table", "n": 4, "table": "fcc0"}
 
 
 @pytest.mark.parametrize(
