@@ -35,14 +35,13 @@ from .colourings import (
     TIE_RULES,
     Colouring,
     ColouringSpec,
-    balanced_partition,
+    _read_json,
     free_point_codes,
     majority_grid,
     make,
     partition_grid,
     spec_from_json_dict,
     spec_to_json_dict,
-    table_from_hex,
 )
 from .constructions import (
     ConstructionResult,
@@ -76,48 +75,29 @@ _ZIGZAG_SAMPLES = 20  # random exact-radius colourings per (n, t) of the zigzag 
 
 def load_spec(path: str) -> ColouringSpec:
     """Read and validate a colouring spec file (JSON syntax)."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read spec file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"spec file {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from exc
-    except RecursionError as exc:
-        raise ValidationError(f"spec file {path} nests too deeply to read") from exc
-    return spec_from_json_dict(data)
+    return spec_from_json_dict(_read_json(path, "spec file"))
 
 
-def _parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
+def _parse_partition(text: str) -> list[list[int]]:
     try:
-        return tuple(
-            tuple(int(tok) for tok in block.split(",") if tok.strip())
-            for block in text.split(";")
-            if block.strip()
-        )
+        return [[int(tok) for tok in block.split(",") if tok.strip()]
+                for block in text.split(";") if block.strip()]
     except ValueError as exc:
         raise ValidationError(f"malformed partition {text!r}: {exc}") from exc
 
 
 def _colouring_from_args(args) -> Colouring:
-    """The colouring of a spec file, or of the inline flags its kind reads."""
+    """The colouring of a spec file, or of the inline flags its kind reads,
+    decoded as the spec object a file would hold."""
     if getattr(args, "colouring", None):
         return make(load_spec(args.colouring))
     if args.kind is None:
         raise ValidationError("provide --colouring FILE or an inline --kind")
-    if args.n is None:
-        raise ValidationError("inline colourings need --n")
     needs, may_take = KIND_FIELDS[args.kind]
-    fields = {name: getattr(args, name) for name in (*needs, *may_take)}
-    if fields.get("table") is not None:
-        fields["table"] = table_from_hex(args.table, args.n)
-    if fields.get("partition") is not None:
-        fields["partition"] = _parse_partition(args.partition)
-    if args.kind == "partition" and not fields["partition"] and None not in (args.t, args.k):
-        fields["partition"] = balanced_partition(args.n, args.t, args.k)
-    return make(ColouringSpec(kind=args.kind, n=args.n, **fields))
+    data = {name: getattr(args, name) for name in ("kind", "n", *needs, *may_take)}
+    if data.get("partition") is not None:
+        data["partition"] = _parse_partition(data["partition"])
+    return make(spec_from_json_dict(data))
 
 
 def _witness_entry(f: Colouring, geodesic) -> dict:
@@ -233,8 +213,7 @@ def _optimality_verdicts(kind: str, grid, name: str) -> list[dict]:
     that kind (partitions balanced); ``name`` is its claim text in t and k."""
     verdicts = []
     for n, t, k in grid:
-        partition = balanced_partition(n, t, k) if kind == "partition" else None
-        value = inst_exact(make(ColouringSpec(kind=kind, n=n, t=t, k=k, partition=partition))).value
+        value = inst_exact(make(ColouringSpec(kind=kind, n=n, t=t, k=k))).value
         verdicts.append(_verdict(f"inst({name.format(t=t, k=k)}) on H_{n} = {2 * t + 1}",
                                  value == 2 * t + 1, value=value))
     return verdicts

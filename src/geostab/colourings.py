@@ -14,7 +14,8 @@ one around the all-ones point is coloured 1 (-1 if even t=0 fails).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -222,21 +223,21 @@ def _make_partition(spec: ColouringSpec) -> Colouring:
     _require(k <= n, f"need k <= n, got k={k}, n={n}")
     s = t - (k + 1) // 2
     _require(s >= -1, f"need s = t-(k+1)/2 >= -1, got s={s}")
-    blocks = spec.partition or ()
     if s == -1:
         _require(n == k, f"s = -1 forces n = k, got n={n}, k={k}")
-        _require(not blocks, "s = -1 forces an empty partition")
     else:
         _require(
             n >= (s + 1) * (t + 1) + k,
             f"need n >= (s+1)(t+1)+k = {(s + 1) * (t + 1) + k}, got n={n}",
         )
-        _check_blocks(blocks, s + 1, t, k + 1, n, "b_t^k partition")
+    if spec.partition is None:  # the default, kept in the spec so reports echo it
+        spec = replace(spec, partition=balanced_partition(n, t, k))
+    _check_blocks(spec.partition, s + 1, t, k + 1, n, "b_t^k partition")
 
     codes = np.arange(1 << n, dtype=np.uint32)
     prefix = weights_vector(k)[codes & ((1 << k) - 1)]
-    a0 = _aqj_table(n, 0, blocks)
-    a1 = _aqj_table(n, 1, blocks)
+    a0 = _aqj_table(n, 0, spec.partition)
+    a1 = _aqj_table(n, 1, spec.partition)
     table = np.where(2 * prefix > k, a0, a1).astype(np.uint8)
     return Colouring(spec, table)
 
@@ -456,6 +457,22 @@ def _hex(data: dict, name: str) -> bytes:
 # How each spec field is read from JSON; n comes before the table it sizes.
 _DECODERS = {"kind": _string, "n": _integer, "t": _integer, "k": _integer, "tie": _string,
              "partition": _blocks, "j": _integer, "s": _integer, "table": _hex}
+
+
+def _read_json(path: str, what: str):
+    """The JSON value of the UTF-8 file at ``path``; ``what`` names the file
+    in the one-line refusal of a file that cannot be read or decoded."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{what} {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
+        ) from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{what} {path} nests too deeply to read") from exc
 
 
 def spec_from_json_dict(data: dict) -> ColouringSpec:

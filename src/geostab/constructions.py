@@ -248,7 +248,12 @@ def strip_reduction(f: Colouring, mode: str) -> Colouring:
         raise ValidationError(f"mode must be 'one_strip' or 'multi_strip', got {mode!r}")
     codes = (np.arange(1 << (n - drop), dtype=np.int64) << drop) | pattern
     table = f.table()[codes]
-    return make(ColouringSpec(kind="table", n=n - drop, table=table.tobytes()))
+    g = make(ColouringSpec(kind="table", n=n - drop, table=table.tobytes()))
+    # g's radius is at least t-w; above it every (t-w+1)-geodesic ends badly
+    if mode == "multi_strip" and g.t_f != t - w:
+        raise ValidationError(f"multi_strip needs the reduced colouring's radius to be "
+                              f"t-w = {t - w}, got {g.t_f} (f has radius {t}, strip width {w})")
+    return g
 
 
 def _require_inner(inner: Geodesic, g: Colouring, want_weight: int) -> tuple[int, int, int]:

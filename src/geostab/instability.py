@@ -80,7 +80,7 @@ class InstabilityReport:
 
 
 def dimension_cap(explicit: Optional[int] = None) -> int:
-    """Engine dimension cap: explicit argument, else GEOSTAB_MAX_N, else 13.
+    """Engine dimension cap: explicit argument, else GEOSTAB_MAX_N (at least 1), else 13.
 
     Passing ``cap`` explicitly (or setting the environment variable) is the
     acknowledgement that the DP layers fit in memory: two popcount layers,
@@ -98,12 +98,13 @@ def dimension_cap(explicit: Optional[int] = None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("GEOSTAB_MAX_N")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"GEOSTAB_MAX_N must be an integer, got {env!r}") from exc
-    return DEFAULT_MAX_N
+    try:
+        cap = DEFAULT_MAX_N if env is None else int(env)
+    except ValueError:
+        cap = 0  # refused below
+    if cap < 1:
+        raise ValidationError(f"GEOSTAB_MAX_N must be a positive integer, got {env!r}")
+    return cap
 
 
 def _check_cap(n: int, cap: Optional[int]) -> None:

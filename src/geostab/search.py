@@ -54,6 +54,7 @@ from .colourings import (
     Colouring,
     ColouringSpec,
     _is_int,
+    _read_json,
     free_point_codes,
     radii,
     table_from_free_layers,
@@ -218,15 +219,9 @@ def _resume_point(
     The representatives below its ``next_counter`` are rescored, and the
     file is refused unless it is, key for key and as JSON text, the state
     the sweep itself writes after scoring them."""
-    try:
-        with open(path) as fh:
-            state = json.load(fh)
-    except FileNotFoundError:
+    if not os.path.exists(path):
         return 0, None
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read checkpoint {path}: {exc}") from exc
-    except RecursionError as exc:
-        raise ValidationError(f"checkpoint {path} nests too deeply to read") from exc
+    state = _read_json(path, "checkpoint")
     if not isinstance(state, dict):
         raise ValidationError(f"checkpoint {path} is not a JSON object")
     total, counter = 1 << key["F"], state.get("next_counter")

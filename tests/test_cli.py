@@ -399,6 +399,16 @@ def test_malformed_dimension_cap_env_exit_2(monkeypatch, capsys, args):
     assert "GEOSTAB_MAX_N" in _assert_refused(main(args), capsys)
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_dimension_cap_env_below_one_exit_2(monkeypatch, capsys, value):
+    # a cap below 1 would refuse every engine call as a capacity excess (exit 4)
+    monkeypatch.setenv("GEOSTAB_MAX_N", value)
+    for args in (["bounds", "--n", "5", "--t", "1"],
+                 ["inst", "--kind", "majority", "--n", "5", "--t", "1", "--k", "3"]):
+        err = _assert_refused(main(args), capsys)
+        assert err == f"invalid parameters: GEOSTAB_MAX_N must be a positive integer, got '{value}'\n"
+
+
 def test_unwritable_out_file_exit_2(tmp_path, capsys):
     out = tmp_path / "missing" / "r.json"
     err = _assert_refused(main(["--out", str(out), "bounds", "--n", "5", "--t", "1"]), capsys)
@@ -525,15 +535,64 @@ def test_inline_flags_a_kind_does_not_read_are_left_out(capsys):
     assert report["inputs"]["colouring"] == {"kind": "table", "n": 2, "table": "6"}
 
 
-def test_readme_spec_examples_run(tmp_path, capsys):
+def _readme_spec_examples():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("Colouring spec files", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
-    assert block.strip()
+    return block.splitlines()
+
+
+def test_readme_spec_examples_run(tmp_path, capsys):
+    lines = _readme_spec_examples()
+    assert lines
     path = tmp_path / "spec.json"
-    for line in block.splitlines():
+    for line in lines:
         path.write_text(line)
         assert main(["inst", "--colouring", str(path), "--out", str(tmp_path / "r.json")]) == 0, line
         assert capsys.readouterr().err == ""
+
+
+def _inline_flags(spec):
+    """The inline flags that carry a spec object's fields, ``partition`` as
+    ``--partition`` text."""
+    flags = []
+    for name, value in spec.items():
+        if name == "partition":
+            value = ";".join(",".join(str(i) for i in block) for block in value)
+        flags.append(f"--{name}={value}")
+    return flags
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [json.loads(line) for line in _readme_spec_examples()] + [
+        {"kind": "partition", "n": 6, "t": 2, "k": 3},  # the balanced partition, [[4, 5, 6]]
+        {"kind": "partition", "n": 5, "t": 2, "k": 5},  # s = -1, the empty partition
+    ],
+)
+@pytest.mark.parametrize("command", ["inst", "winst"])
+def test_spec_file_and_inline_flags_give_one_report(tmp_path, capsys, spec, command):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    for fmt in ("json", "csv"):
+        reports = []
+        for source in (["--colouring", str(path)], _inline_flags(spec)):
+            code = main(["--format", fmt, command, *source])
+            out, err = capsys.readouterr()
+            reports.append((code, re.sub(r'"elapsed_s": [^\n]*', '"elapsed_s": null', out), err))
+        assert reports[0] == reports[1], spec
+    if spec == {"kind": "partition", "n": 6, "t": 2, "k": 3}:
+        code, report = run_json(["inst", "--colouring", str(path)], capsys)
+        assert code == 0 and report["inputs"]["colouring"]["partition"] == [[4, 5, 6]]
+
+
+@pytest.mark.parametrize("command", ["spec", "checkpoint"])
+def test_file_that_is_not_utf8_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"kind": "constant", "n": 3, "j": 1, "x": "\xff"}')
+    args = (["inst", "--colouring", str(path)] if command == "spec"
+            else ["search", "--n", "4", "--t", "1", "--resume", str(path)])
+    err = _assert_refused(main(args), capsys)
+    assert "utf-8" in err
 
 
 @pytest.mark.parametrize("n, t", [(4, 2), (3, -1)])

@@ -269,6 +269,18 @@ def test_multi_strip_random_colourings():
         assert f.evaluate(pts[0]) == 1 or f.evaluate(pts[-1]) == 0
 
 
+def test_multi_strip_refuses_a_reduced_colouring_of_larger_radius():
+    # f(0^w 1^w x) with w = n-2t = 3 has radius 1 > t-w = 0 here, so every
+    # 1-geodesic of it starts coloured 0 and ends coloured 1: none ends well
+    f = random_colouring(9, 3, seed=124, exact_tf=True)
+    assert f.t_f == 3
+    message = ("multi_strip needs the reduced colouring's radius to be t-w = 0, got 1 "
+               "(f has radius 3, strip width 3)")
+    with pytest.raises(ValidationError) as exc:
+        strip_reduction(f, "multi_strip")
+    assert str(exc.value) == message
+
+
 def test_strip_matches_chain_arithmetic():
     # l:stronger: winst(2t+2, t) >= y0 + t - t0 realised by chaining
     from geostab.bounds import stronger_lb, morestrips_lb

@@ -234,3 +234,45 @@ def test_checkpoint_outcome_is_an_exit_code(document, mode):
         assert (outputs["minimum"], outputs["argmin"]) == fresh
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+
+
+@st.composite
+def _document_bytes(draw):
+    """A spec or (4,0) checkpoint document as the bytes of a file: UTF-8, or
+    corrupted by an inserted 0xff or NUL byte, a UTF-8 byte order mark, or
+    a UTF-16 encoding (which also starts with a byte order mark)."""
+    text = draw(st.one_of(_spec().map(json.dumps), _checkpoint_text()))
+    data = text.encode("utf-8")
+    corruption = draw(st.sampled_from(["none", "xff", "nul", "bom", "utf16"]))
+    at = draw(st.integers(0, len(data)))
+    if corruption in ("xff", "nul"):
+        data = data[:at] + (b"\xff" if corruption == "xff" else b"\x00") + data[at:]
+    elif corruption == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif corruption == "utf16":
+        data = text.encode("utf-16")
+    return corruption, data
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(case=_document_bytes())
+def test_file_bytes_outcome_is_an_exit_code(case):
+    # the same bytes as a spec file and as a checkpoint: both go through one reader
+    corruption, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "input.json"), os.path.join(tmp, "r.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for args in (["inst", "--colouring", path],
+                     ["search", "--n", "4", "--t", "0", "--resume", path]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(args + ["--out", out])
+            assert code in (0, 2, 3, 4)
+            if corruption != "none":
+                assert code == 2, (args[0], data)
+            if code == 0:
+                assert err.getvalue() == ""
+            else:
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), \
+                    err.getvalue()

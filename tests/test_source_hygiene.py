@@ -1,6 +1,7 @@
 """Source checks that need no linter: every local a function binds and every
-parameter it takes is read, every module-private name is used, and every
-public name is read by the program, its demos or its benchmark."""
+parameter it takes is read, every module-private name is used, every
+public name is read by the program, its demos or its benchmark, and one
+function reads the files the program is given."""
 
 import ast
 from collections import Counter
@@ -132,6 +133,33 @@ def _unread_public(trees, readers):
     return _unreferenced(trees, readers, lambda name: not name.startswith("_"))
 
 
+def _reads_a_file(call):
+    """Whether ``call`` decodes JSON (``json.load``, ``json.loads``) or opens a
+    file with no mode that writes; a mode that is not a literal may read."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.value.id == "json" and func.attr in ("load", "loads")
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return not any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                   and set(m.value) & set("wax+") for m in modes)
+
+
+def _file_readers(tree):
+    """(function, call, line) of each call that reads a file or decodes JSON
+    outside ``_read_json``, the one reader of the program's input
+    files; module-level calls count under ``<module>``."""
+    scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, FUNCTIONS)]
+    for scope in scopes:
+        name = getattr(scope, "name", "<module>")
+        if name == "_read_json":
+            continue
+        for node in _own_nodes(scope):
+            if isinstance(node, ast.Call) and _reads_a_file(node):
+                yield name, ast.unparse(node.func), node.lineno
+
+
 def _findings(check):
     return [f"{path.name}:{line} {func}.{name}"
             for path in SOURCES
@@ -167,6 +195,12 @@ def test_every_public_name_is_read_outside_the_tests():
     readers = {**trees, **{str(path.relative_to(ROOT)): _parse(path) for path in OUTSIDE_READERS}}
     unread = [f"{module}:{line} {name}" for module, name, line in _unread_public(trees, readers)]
     assert not unread, unread
+
+
+def test_one_function_reads_input_files():
+    assert SOURCES
+    readers = _findings(_file_readers)
+    assert not readers, readers
 
 
 def test_the_check_flags_a_dead_local():
@@ -245,3 +279,26 @@ def test_the_check_flags_a_public_name_only_tests_read():
     }
     assert list(_unread_public(trees, readers)) == [
         ("a.py", "UNUSED", 2), ("a.py", "recursive", 6), ("a.py", "Box", 8)]
+
+
+def test_the_check_flags_a_second_file_reader():
+    tree = ast.parse(
+        "import json\n"
+        "def _read_json(path):\n"
+        "    with open(path, encoding='utf-8') as fh:\n"
+        "        return json.load(fh)\n"
+        "def save(path, text, state):\n"
+        "    with open(path, 'w') as fh:\n"
+        "        fh.write(json.dumps(state))\n"
+        "    with open(path, mode='a+') as fh, open(path, 'xb') as new:\n"
+        "        return fh, new\n"
+        "def load(path):\n"
+        "    with open(path) as fh:\n"
+        "        return json.load(fh)\n"
+        "def decode(text, mode):\n"
+        "    return json.loads(text), open(text, 'rb'), open(text, mode)\n"
+        "STATE = json.loads('{}')\n"
+    )
+    assert sorted(_file_readers(tree), key=lambda r: (r[2], r[1])) == [
+        ("load", "open", 11), ("load", "json.load", 12), ("decode", "json.loads", 14),
+        ("decode", "open", 14), ("decode", "open", 14), ("<module>", "json.loads", 15)]
